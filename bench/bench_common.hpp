@@ -23,10 +23,10 @@ struct BenchArgs {
   /// "kind":"timeseries" rows to their BENCH_*.json. Off by default so the
   /// default artifacts stay byte-identical.
   bool timeseries = false;
-  /// --threads N: drive harness-based benches with the wave-parallel
-  /// scheduler (harness::ExperimentConfig::threads). Results are
-  /// bit-identical at every N; only wall-clock changes. 0 (the default)
-  /// keeps the classic sequential loop and byte-identical artifacts.
+  /// --threads N: worker threads of the harness wave drive
+  /// (harness::ExperimentConfig::threads). Results are bit-identical at
+  /// every N; only wall-clock changes. 0 (the default) and 1 run the
+  /// sequential drive without a pool.
   std::size_t threads = 0;
 };
 

@@ -95,8 +95,9 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> sizes =
       args.full ? std::vector<std::size_t>{100000, 1000000}
                 : std::vector<std::size_t>{2000, 10000};
-  // threads = 0 is the classic sequential loop (the reference the wave drive
-  // must reproduce bit-for-bit); 1..8 exercise the wave machinery.
+  // threads = 0 and 1 both run the sequential drive (waves of one, no pool;
+  // the reference every pooled run must reproduce bit-for-bit and the base
+  // of speedup_vs_1t); 2..8 exercise the pooled wave machinery.
   const std::vector<std::size_t> thread_grid =
       args.full ? std::vector<std::size_t>{1, 2, 4, 8}
                 : std::vector<std::size_t>{0, 1, 2, 4, 8};

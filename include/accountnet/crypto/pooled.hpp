@@ -4,11 +4,11 @@
 // util::WorkerPool in contiguous chunks. Jobs are independent and every
 // worker writes only its own verdict slots, so the result is bit-identical
 // to the wrapped backend for any pool size (the provider determinism
-// contract in provider.hpp). Unlike RealCryptoProvider's built-in batch
-// path, which spawns fresh std::threads per call, the pool is persistent —
-// one condition-variable wake per batch instead of thread creation, which is
-// what makes global per-epoch batches (see VerificationEngine::preload)
-// worth accumulating.
+// contract in provider.hpp). The pool is persistent — one
+// condition-variable wake per batch instead of thread creation, which is
+// what makes global per-wave batches (see VerificationEngine::preload)
+// worth accumulating. This decorator is the only place verify_batch runs on
+// more than one thread.
 //
 // verify()/vrf_verify()/make_signer() pass straight through, so a
 // PooledProvider can be handed anywhere a CryptoProvider is expected

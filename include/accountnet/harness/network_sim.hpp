@@ -37,9 +37,6 @@
 namespace accountnet::util {
 class WorkerPool;
 }
-namespace accountnet::crypto {
-class PooledProvider;
-}
 
 namespace accountnet::harness {
 
@@ -118,17 +115,17 @@ struct ExperimentConfig {
                                                 .vrf_cache_capacity = 256,
                                                 .history_memo_capacity = 64};
 
-  /// Wave-parallel drive (docs/PARALLELISM.md). 0 (the default) keeps the
-  /// classic sequential event loop, byte-identical to every pre-parallel
-  /// run. N >= 1 plans shuffle events sequentially in event order, batches
-  /// conflict-free runs of them into waves executed on a WorkerPool of N
-  /// threads, and resolves every engine cache miss of a wave through ONE
-  /// global CryptoProvider::verify_batch — with results (digests, stats,
-  /// per-node protocol state) bit-identical to threads = 0 at every N.
-  /// threads = 1 runs the same wave machinery inline (no worker threads).
-  /// Only engine cache hit/miss/eviction *counters* may differ from the
-  /// sequential path (waves prefetch speculatively); verdicts never do.
-  /// Incompatible with set_tracer() and metrics timing (sequential-only).
+  /// Worker threads for the wave drive (docs/PARALLELISM.md). Every
+  /// shuffle event is planned in event order and executed as part of a
+  /// wave. 0 (the default) and 1 mean no worker threads: each event runs
+  /// inline as a wave of one and its engines verify on their own. N >= 2
+  /// batches conflict-free runs of events into waves executed on a
+  /// WorkerPool of N threads and resolves every engine cache miss of a wave
+  /// through ONE global CryptoProvider::verify_batch — with results
+  /// (digests, stats, spans, per-node protocol state) bit-identical at
+  /// every N. Only engine cache and batch *counters* (verify.cache.*,
+  /// verify.batch.*) may differ at N >= 2 (waves prefetch speculatively);
+  /// verdicts never do. Metrics timing needs N <= 1.
   std::size_t threads = 0;
 };
 
@@ -156,16 +153,15 @@ class NetworkSim {
   /// `on_analysis(absolute_round)` after each.
   ///
   /// Incremental-continuation contract (relied on by every bench that
-  /// interleaves measurement; preserved verbatim by the wave-parallel
-  /// drive):
+  /// interleaves measurement):
   ///   1. The FIRST run() call fires `on_analysis(0)` at t = 0 before
   ///      advancing (run_started() flips true at that point).
   ///   2. Every subsequent call continues from exactly where the previous
   ///      one stopped — `run(a); run(b);` is indistinguishable from
   ///      `run(a + b);` — and the callback always receives the ABSOLUTE
   ///      round number (`rounds_completed()`), never a per-call index.
-  ///   3. In parallel mode any in-flight wave is flushed before each
-  ///      callback, so analysis always observes a settled network.
+  ///   3. Any in-flight wave is flushed before each callback, so analysis
+  ///      always observes a settled network.
   /// There is deliberately no reset(): nodes accumulate history, standing
   /// and journals that cannot be rewound — construct a fresh NetworkSim for
   /// a fresh experiment.
@@ -210,15 +206,14 @@ class NetworkSim {
   /// complete picture without per-event instrumentation cost in the hot loop.
   void scrape_metrics(obs::Sink& sink);
 
-  /// Appends a JSON-lines scrape to `path` (the BENCH_*.json convention).
-  void write_metrics_json(const std::string& path);
-
-  /// Attaches a span tracer (obs/span.hpp): each synchronous shuffle emits a
-  /// root "shuffle" span on the initiator with a "shuffle.respond" child on
-  /// the partner, and adversary detections emit "accuse.quarantine" spans on
+  /// Attaches a span tracer (obs/span.hpp): each shuffle emits a root
+  /// "shuffle" span on the initiator with a "shuffle.respond" child on the
+  /// partner, and adversary detections emit "accuse.quarantine" spans on
   /// the observer — the same span vocabulary core::Node uses, so traces from
-  /// either engine feed the same tooling. nullptr (default) = tracing off;
-  /// attaching a tracer never perturbs a seeded run.
+  /// either engine feed the same tooling. Spans are emitted at the wave
+  /// merge, in event order and stamped with the event's time, so the span
+  /// list is identical at every thread count. nullptr (default) = tracing
+  /// off; attaching a tracer never perturbs a seeded run.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
 
@@ -289,15 +284,13 @@ class NetworkSim {
 
   void launch_node(std::size_t idx);
   void restart_node(std::size_t idx);
-  void schedule_shuffle(std::size_t idx);
-  void do_shuffle(std::size_t idx);
   bool apply_adversary(HarnessNode& hn, core::ShuffleOffer& offer,
                        const core::PeerId& partner);
-  /// `stats` is where counter bumps land: `stats_` on every sequential path,
-  /// a per-event scratch struct on the parallel exec path (merged in event
-  /// order at the wave barrier — exec workers must never touch `stats_`).
+  /// `stats` is where counter bumps land: `stats_` on the sequential paths,
+  /// a per-event scratch struct on the exec path (merged in event order at
+  /// the wave barrier — exec workers must never touch `stats_`).
   void quarantine(HarnessNode& observer, const core::PeerId& accused,
-                  HarnessStats& stats, obs::TraceContext ctx = {});
+                  HarnessStats& stats);
   void drop_cached_verdicts(HarnessNode& node, const core::PeerId& peer);
   void handle_dead_partner(std::size_t idx, std::size_t partner_idx);
   void record_leave(HarnessNode& reporter_node, const core::PeerId& leaver,
@@ -307,22 +300,27 @@ class NetworkSim {
   std::size_t index_of(const core::PeerId& peer) const;
   void sync_metrics();
 
-  // --- Wave-parallel drive (threads >= 1; docs/PARALLELISM.md) -------------
-  bool parallel() const { return config_.threads >= 1; }
-  /// Parallel-mode replacement for the do_shuffle event body: runs the
-  /// sequential prologue (partner choice, refusal/fault legs, RNG draws) in
-  /// event order and defers the data-parallel remainder into wave_.
+  // --- Wave drive (docs/PARALLELISM.md) -------------------------------------
+  /// Shuffle event body: runs the sequential prologue (partner choice,
+  /// refusal/fault legs, RNG draws) in event order and defers the
+  /// data-parallel remainder into wave_. Without a pool the wave is flushed
+  /// at once, so every event runs as a wave of one.
   void plan_shuffle(std::size_t idx);
-  /// Executes the pending wave: build offers + gather engine cache misses
-  /// (parallel) -> one global verify_batch -> preload verdicts -> exec
-  /// verify/commit (parallel) -> merge stats/samples/re-arms (event order).
+  /// The prologue of plan_shuffle; false when it finished the event (only
+  /// the re-arm and the span remain).
+  bool plan_prologue(WaveEvent& ev);
+  /// Executes the pending wave: build offers (+ gather engine cache misses
+  /// and run one global verify_batch, pool only) -> exec verify/commit ->
+  /// merge stats/samples/spans/re-arms (event order).
   void flush_wave();
-  /// Parallel-mode replacement for sim_.run_until: steps events one by one
-  /// so a wave can be flushed BEFORE simulated time passes the earliest
-  /// possible re-arm of a planned event (the wave_deadline_ rule).
+  /// Emits the event's shuffle spans at merge time, stamped with ev.when.
+  void emit_spans(const WaveEvent& ev);
+  /// Steps events one by one so a wave can be flushed BEFORE simulated time
+  /// passes the earliest possible re-arm of a planned event (the
+  /// wave_deadline_ rule).
   void drive_until(sim::TimePoint deadline);
-  /// Re-arm emitted at the merge barrier: same jitter draw and same absolute
-  /// timestamp the sequential path would have produced at `event_when`.
+  /// Arms the node's next shuffle: jitter drawn from the node's rng, fired
+  /// at `event_when` + the jittered period.
   void rearm_shuffle_at(std::size_t idx, sim::TimePoint event_when);
 
   ExperimentConfig config_;
@@ -348,15 +346,15 @@ class NetworkSim {
   std::uint64_t recovery_entries_replayed_ = 0;
   std::vector<std::vector<std::uint8_t>> shuffle_pairs_;  // optional heatmap
 
-  // Wave-parallel drive state (empty/null in sequential mode).
+  // Wave drive state. The pool (threads >= 2 only) is what makes waves
+  // grow past one event and enables the global verify batch.
   std::unique_ptr<util::WorkerPool> pool_;
-  std::unique_ptr<crypto::PooledProvider> pooled_;
   std::vector<std::unique_ptr<WaveEvent>> wave_;
   std::vector<std::uint8_t> in_wave_;  ///< per-node: touched by a pending event
   sim::TimePoint wave_deadline_ = 0;   ///< latest safe event time before flush
   sim::Duration rearm_bound_ = 0;      ///< min re-arm delay minus one
-  // verify.epoch_batch.* ids, interned lazily on the first flush so default
-  // (threads = 0) runs keep byte-identical scrapes.
+  // verify.epoch_batch.* ids, interned lazily on the first pooled flush so
+  // runs without a pool keep byte-identical scrapes.
   obs::MetricId id_flushes_ = 0, id_jobs_ = 0, id_preloaded_ = 0;
   bool wave_ids_interned_ = false;
 };

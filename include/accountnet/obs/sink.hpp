@@ -80,9 +80,10 @@ std::string to_json_line(const MetricSample& sample, std::int64_t t_us);
 ///   {"t_us":N,"kind":"trace","code":N,"a":N,"b":N,"label":"..."}
 std::string to_json_line(const TraceEvent& e);
 
-/// Appends one JSON object per sample to a file (the `BENCH_*.json`
-/// convention). Opens in append mode so successive scrapes of a run — or
-/// successive bench configurations — form one time series.
+/// Writes one JSON object per sample to a file (the `BENCH_*.json`
+/// convention). Successive scrapes through one sink form one time series;
+/// opening a path truncates it, so re-running a bench in the same directory
+/// replaces its rows instead of duplicating them.
 class JsonLinesSink final : public Sink {
  public:
   /// Owns the stream; throws EnsureError if the file cannot be opened.

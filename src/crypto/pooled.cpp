@@ -15,28 +15,17 @@ void PooledProvider::verify_batch(std::span<const VerifyJob> jobs,
     return;
   }
   // Contiguous chunks, one per pool thread: chunk i covers
-  // [i*chunk, min((i+1)*chunk, n)). Each worker resolves its own slice with
-  // per-job verify/vrf_verify (never the inner provider's own batch path,
-  // which for the real backend would spawn nested threads), so slot i's
-  // verdict is written exactly once by exactly one worker.
+  // [i*chunk, min((i+1)*chunk, n)) and is resolved by the inner provider's
+  // own (sequential) batch path, so slot i's verdict is written exactly once
+  // by exactly one worker.
   const std::size_t n = jobs.size();
   const std::size_t parts = std::min(pool_->threads(), n);
   const std::size_t chunk = (n + parts - 1) / parts;
   pool_->run(parts, [&](std::size_t p) {
     const std::size_t lo = p * chunk;
-    const std::size_t hi = std::min(lo + chunk, n);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const VerifyJob& job = jobs[i];
-      VerifyVerdict v;
-      if (job.kind == VerifyJob::Kind::kSignature) {
-        v.ok = inner_.verify(job.pk, job.msg, job.sig);
-      } else {
-        const auto beta = inner_.vrf_verify(job.pk, job.msg, job.sig);
-        v.ok = beta.has_value();
-        if (beta) v.vrf_output = *beta;
-      }
-      verdicts[i] = v;
-    }
+    if (lo >= n) return;  // ceil-sized chunks can run out before the last part
+    const std::size_t len = std::min(chunk, n - lo);
+    inner_.verify_batch(jobs.subspan(lo, len), verdicts.subspan(lo, len));
   });
 }
 

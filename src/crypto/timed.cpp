@@ -96,7 +96,7 @@ class TimedProvider final : public CryptoProvider {
     return inner_->vrf_verify(pk, alpha, proof);
   }
 
-  // Forwarded explicitly so the inner backend's parallel fan-out is reached;
+  // Forwarded explicitly so the inner backend's own batch path is reached;
   // the base-class default would resolve jobs through this wrapper's
   // per-primitive calls instead.
   void verify_batch(std::span<const VerifyJob> jobs,

@@ -72,18 +72,25 @@ struct NetworkSim::HarnessNode {
   std::size_t coverage_count = 0;
 };
 
-/// One shuffle event captured by the wave-parallel drive (docs/PARALLELISM.md).
-/// The plan phase fills the sequential-prologue fields in event order; the
-/// build/exec phases (worker threads) only touch this event's two nodes plus
-/// the event's own slots; the merge phase folds scratch back in event order.
+/// One shuffle event of the wave drive (docs/PARALLELISM.md). The plan
+/// phase fills the sequential-prologue fields in event order; the build/exec
+/// phases (worker threads) only touch this event's two nodes plus the
+/// event's own slots; the merge phase folds scratch back and emits spans in
+/// event order.
 struct NetworkSim::WaveEvent {
   bool skip = false;       ///< prologue finished the event; only the re-arm remains
   std::size_t idx = 0;     ///< initiator
-  std::size_t pidx = 0;    ///< responder (full events only)
+  std::size_t pidx = 0;    ///< responder (once a partner was chosen)
   sim::TimePoint when = 0; ///< the event's original timestamp (re-arm base)
   core::PartnerChoice choice;
+  core::Round round = 0;   ///< initiator's round at plan time (span attr)
   core::Round rj = 0;
   bool verify = false;
+  /// Span outcomes: `outcome` of the root "shuffle" span (nullptr = no
+  /// partner was chosen, no span), `respond_outcome` of the responder's
+  /// "shuffle.respond" child (nullptr = the exchange never reached it).
+  const char* outcome = nullptr;
+  const char* respond_outcome = nullptr;
   // Build outputs.
   core::ShuffleOffer offer;
   bool attacked = false;
@@ -102,19 +109,16 @@ NetworkSim::NetworkSim(ExperimentConfig config)
   AN_ENSURE(config_.network_size >= 2);
   AN_ENSURE(config_.f >= config_.l && config_.l >= 1);
   if (config_.fault_plan) faults_.emplace(*config_.fault_plan);
-  if (parallel()) {
-    pool_ = std::make_unique<util::WorkerPool>(config_.threads);
-    pooled_ = std::make_unique<crypto::PooledProvider>(*provider_, pool_.get());
-    in_wave_.assign(config_.network_size, 0);
-    // Smallest delay schedule_shuffle can emit, minus one: a wave started at
-    // T may batch events up to T + rearm_bound_ and still flush before any
-    // deferred re-arm's absolute time, so schedule_at never lands in the
-    // past and re-arm ordering matches the sequential drive exactly.
-    rearm_bound_ = std::max<sim::Duration>(
-        0, static_cast<sim::Duration>(static_cast<double>(config_.shuffle_period) *
-                                      (1.0 - config_.shuffle_jitter_frac)) -
-               1);
-  }
+  if (config_.threads >= 2) pool_ = std::make_unique<util::WorkerPool>(config_.threads);
+  in_wave_.assign(config_.network_size, 0);
+  // Smallest delay rearm_shuffle_at can emit, minus one: a wave started at
+  // T may batch events up to T + rearm_bound_ and still flush before any
+  // deferred re-arm's absolute time, so schedule_at never lands in the
+  // past and re-arm ordering matches event-at-a-time execution exactly.
+  rearm_bound_ = std::max<sim::Duration>(
+      0, static_cast<sim::Duration>(static_cast<double>(config_.shuffle_period) *
+                                    (1.0 - config_.shuffle_jitter_frac)) -
+             1);
 
   node_config_.max_peerset = config_.f;
   node_config_.shuffle_length = config_.l;
@@ -242,15 +246,10 @@ void NetworkSim::scrape_metrics(obs::Sink& sink) {
   sink.flush();
 }
 
-void NetworkSim::write_metrics_json(const std::string& path) {
-  obs::JsonLinesSink sink(path);
-  scrape_metrics(sink);
-}
-
 void NetworkSim::launch_node(std::size_t idx) {
   // Bootstrap reads arbitrary peersets and schedules: the network must be
   // settled first (sequential ordering — the pending events all predate us).
-  if (parallel()) flush_wave();
+  flush_wave();
   HarnessNode& hn = *nodes_[idx];
   hn.alive = true;
   ++alive_count_;
@@ -289,178 +288,13 @@ void NetworkSim::launch_node(std::size_t idx) {
   }
   ++joined_count_;
   update_coverage(hn);
-  schedule_shuffle(idx);
-}
-
-void NetworkSim::schedule_shuffle(std::size_t idx) {
-  HarnessNode& hn = *nodes_[idx];
-  const double jitter = (hn.rng.uniform01() * 2.0 - 1.0) * config_.shuffle_jitter_frac;
-  const auto delay = static_cast<sim::Duration>(
-      static_cast<double>(config_.shuffle_period) * (1.0 + jitter));
-  if (parallel()) {
-    // plan_shuffle defers the re-arm to the wave barrier (same jitter draw,
-    // same absolute timestamp — see rearm_shuffle_at).
-    sim_.schedule(std::max<sim::Duration>(delay, 1), [this, idx] {
-      if (nodes_[idx]->alive) plan_shuffle(idx);
-    });
-    return;
-  }
-  sim_.schedule(std::max<sim::Duration>(delay, 1), [this, idx] {
-    if (nodes_[idx]->alive) {
-      do_shuffle(idx);
-      schedule_shuffle(idx);
-    }
-  });
+  rearm_shuffle_at(idx, sim_.now());
 }
 
 std::size_t NetworkSim::index_of(const core::PeerId& peer) const {
   const auto it = addr_to_index_.find(peer.addr);
   AN_ENSURE_MSG(it != addr_to_index_.end(), "unknown peer address");
   return it->second;
-}
-
-void NetworkSim::do_shuffle(std::size_t idx) {
-  HarnessNode& hn = *nodes_[idx];
-  if (!hn.joined || hn.state->peerset().empty()) return;
-  ++stats_.shuffles_attempted;
-
-  const auto choice = core::choose_partner(*hn.state);
-  if (!choice) {
-    hn.state->skip_round();
-    return;
-  }
-  const std::size_t pidx = index_of(choice->partner);
-  HarnessNode& partner = *nodes_[pidx];
-
-  // Root span for the synchronous exchange; ended with an outcome tag on
-  // every exit path below.
-  std::uint64_t root = 0;
-  if (tracer_ != nullptr) {
-    root = tracer_->begin_span("shuffle", hn.state->self().addr, sim_.now(), {});
-    tracer_->attr(root, "partner", choice->partner.addr);
-    tracer_->attr(root, "round", std::to_string(hn.state->round()));
-  }
-  const auto end_root = [&](const char* outcome) {
-    if (root != 0) {
-      tracer_->attr(root, "outcome", outcome);
-      tracer_->end_span(root, sim_.now());
-    }
-  };
-
-  if (!partner.alive) {
-    ++stats_.dead_partner_hits;
-    end_root("dead_partner");
-    handle_dead_partner(idx, pidx);
-    return;
-  }
-  if (partner.quarantined.contains(hn.state->self().addr) ||
-      hn.quarantined.contains(partner.state->self().addr)) {
-    // A quarantined pair refuses contact in either direction (mirrors
-    // core::Node's inbound drop); the initiator burns the round.
-    ++stats_.byz_refused_quarantined;
-    end_root("refused_quarantined");
-    hn.state->skip_round();
-    return;
-  }
-  if (config_.malicious_mode == MaliciousMode::kSeparateOverlay &&
-      partner.malicious != hn.malicious) {
-    // Cross-coalition contact is refused; the initiator burns the round.
-    ++stats_.refused_cross_group;
-    end_root("refused_cross_group");
-    hn.state->skip_round();
-    return;
-  }
-  if (faults_) {
-    // Synchronous exchange: a drop on any of the four logical legs (or a
-    // crashed endpoint) fails the whole shuffle and the initiator burns the
-    // round. No retries here — core::Node models those.
-    const std::string& a = hn.state->self().addr;
-    const std::string& b = partner.state->self().addr;
-    const sim::TimePoint t = sim_.now();
-    const auto leg = [&](const std::string& from, const std::string& to,
-                         core::MsgType type) {
-      return faults_->decide(from, to, static_cast<std::uint32_t>(type), t).drop;
-    };
-    if (faults_->crashed(a, t) || faults_->crashed(b, t) ||
-        leg(a, b, core::MsgType::kRoundQuery) ||
-        leg(b, a, core::MsgType::kRoundReply) ||
-        leg(a, b, core::MsgType::kShuffleOffer) ||
-        leg(b, a, core::MsgType::kShuffleResponse)) {
-      ++stats_.fault_failures;
-      end_root("fault");
-      hn.state->skip_round();
-      return;
-    }
-  }
-
-  const core::Round rj = partner.state->round();
-  core::ShuffleOffer offer = core::make_offer(*hn.state, *choice, rj);
-  const bool attacked = hn.malicious && config_.adversary.any() &&
-                        apply_adversary(hn, offer, choice->partner);
-  if (attacked) ++stats_.byz_attacks;
-  history_samples_.add(static_cast<double>(offer.history_suffix.size()));
-
-  // Partner leg: verify + commit happen on the responder, so they get their
-  // own child span under the initiator's root.
-  std::uint64_t respond = 0;
-  obs::TraceContext root_ctx;
-  if (root != 0) {
-    root_ctx = tracer_->context(root);
-    respond = tracer_->begin_span("shuffle.respond", partner.state->self().addr,
-                                  sim_.now(), root_ctx);
-  }
-  const auto end_respond = [&](const char* outcome) {
-    if (respond != 0) {
-      tracer_->attr(respond, "outcome", outcome);
-      tracer_->end_span(respond, sim_.now());
-    }
-  };
-
-  const bool verify = rng_.chance(config_.verify_fraction);
-  if (verify) {
-    ++stats_.shuffles_verified;
-    if (const auto v = core::verify_offer(offer, *partner.state, rj, *partner.engine);
-        !v) {
-      if (attacked) {
-        // Detection: the responder caught the mutation and quarantines the
-        // initiator. Honest failures stay in verification_failures so the
-        // "MUST stay 0 with honest nodes" invariant keeps its teeth.
-        ++stats_.byz_detections;
-        quarantine(partner, hn.state->self(), stats_,
-                   respond != 0 ? tracer_->context(respond) : root_ctx);
-      } else {
-        ++stats_.verification_failures;
-      }
-      end_respond("verify_failed");
-      end_root("rejected");
-      hn.state->skip_round();
-      return;
-    }
-  }
-  const auto response = core::make_response_and_commit(*partner.state, offer);
-  end_respond("committed");
-  if (verify) {
-    if (const auto v = core::verify_response(response, *hn.state, offer, *hn.engine);
-        !v) {
-      ++stats_.verification_failures;
-      end_root("response_rejected");
-      hn.state->skip_round();
-      return;
-    }
-  }
-  core::apply_offer_outcome(*hn.state, offer, response);
-  end_root("completed");
-  ++stats_.shuffles_completed;
-  ++shuffle_delta_;
-
-  purge_zombies(hn);
-  purge_zombies(partner);
-  update_coverage(hn);
-  update_coverage(partner);
-  if (config_.track_shuffle_pairs) {
-    shuffle_pairs_[idx][pidx] = 1;
-    shuffle_pairs_[pidx][idx] = 1;
-  }
 }
 
 bool NetworkSim::apply_adversary(HarnessNode& hn, core::ShuffleOffer& offer,
@@ -517,18 +351,12 @@ bool NetworkSim::apply_adversary(HarnessNode& hn, core::ShuffleOffer& offer,
 }
 
 void NetworkSim::quarantine(HarnessNode& observer, const core::PeerId& accused,
-                            HarnessStats& stats, obs::TraceContext ctx) {
+                            HarnessStats& stats) {
   if (!observer.quarantined.insert(accused.addr).second) return;
   ++stats.byz_quarantines;
   // Standing is part of the durable record: a quarantine must survive a
   // crash, or a restarted node would re-trust a peer it already caught.
   if (observer.journal) observer.journal->on_standing(accused.addr, false, "");
-  if (tracer_ != nullptr) {
-    const std::uint64_t s = tracer_->begin_span(
-        "accuse.quarantine", observer.state->self().addr, sim_.now(), ctx);
-    tracer_->attr(s, "peer", accused.addr);
-    tracer_->end_span(s, sim_.now());
-  }
   // Quarantine doubles as a local leave record so the accused drains from
   // the observer's peerset and the zombie purge keeps it out.
   record_leave(observer, accused, stats);
@@ -606,82 +434,87 @@ void NetworkSim::update_coverage(HarnessNode& node) {
   }
 }
 
-// --- Wave-parallel drive (threads >= 1) --------------------------------------
+// --- Wave drive ---------------------------------------------------------------
 //
 // plan_shuffle runs at the event's own timestamp, in event order, and performs
-// everything the sequential do_shuffle would have done up to (and including)
-// the global-RNG draw: partner selection, the refusal/fault legs, plan-time
-// stats. The expensive remainder — offer build + adversary mutation, offer
-// verification, commit — is deferred into wave_ and executed in parallel at
-// flush time over PROVABLY disjoint node pairs (any plan whose initiator or
-// partner overlaps a pending event flushes first). Cache misses gathered from
-// every planned verification resolve through ONE global verify_batch on the
-// shared worker pool. See docs/PARALLELISM.md for the bit-identity argument.
+// the shuffle up to (and including) the global-RNG draw: partner selection,
+// the refusal/fault legs, plan-time stats. The expensive remainder — offer
+// build + adversary mutation, offer verification, commit — is deferred into
+// wave_. Without a pool the wave is flushed right away, so each event runs
+// inline as a wave of one. With a pool, events accumulate and are executed in
+// parallel at flush time over PROVABLY disjoint node pairs (any plan whose
+// initiator or partner overlaps a pending event flushes first), and cache
+// misses gathered from every planned verification resolve through ONE global
+// verify_batch on the shared worker pool. See docs/PARALLELISM.md for the
+// bit-identity argument.
 
 void NetworkSim::plan_shuffle(std::size_t idx) {
   if (in_wave_[idx] != 0) flush_wave();
-  HarnessNode& hn = *nodes_[idx];
-  const sim::TimePoint when = sim_.now();
-  const auto push = [&](std::unique_ptr<WaveEvent> ev) {
-    wave_.push_back(std::move(ev));
-    if (wave_.size() == 1) wave_deadline_ = when + rearm_bound_;
-  };
-  const auto push_skip = [&] {
-    auto ev = std::make_unique<WaveEvent>();
-    ev->skip = true;
-    ev->idx = idx;
-    ev->when = when;
-    // No conflict registration: the prologue already applied every state
-    // effect, so build/exec ignore the event and only the re-arm remains.
-    push(std::move(ev));
-  };
-
-  if (!hn.joined || hn.state->peerset().empty()) {
-    push_skip();
-    return;
+  auto ev = std::make_unique<WaveEvent>();
+  ev->idx = idx;
+  ev->when = sim_.now();
+  ev->skip = !plan_prologue(*ev);
+  // Skip events register no conflict: the prologue already applied every
+  // state effect, so build/exec ignore them and only the re-arm remains.
+  if (!ev->skip) {
+    in_wave_[idx] = 1;
+    in_wave_[ev->pidx] = 1;
   }
+  if (wave_.empty()) wave_deadline_ = ev->when + rearm_bound_;
+  wave_.push_back(std::move(ev));
+  if (pool_ == nullptr || wave_.size() >= kMaxWave) flush_wave();
+}
+
+bool NetworkSim::plan_prologue(WaveEvent& ev) {
+  HarnessNode& hn = *nodes_[ev.idx];
+  if (!hn.joined || hn.state->peerset().empty()) return false;
   ++stats_.shuffles_attempted;
 
-  const auto choice = core::choose_partner(*hn.state);
+  auto choice = core::choose_partner(*hn.state);
   if (!choice) {
     hn.state->skip_round();
-    push_skip();
-    return;
+    return false;
   }
-  const std::size_t pidx = index_of(choice->partner);
-  // `choice` stays valid across this flush: no pending event touches idx
-  // (else we flushed above), so hn.state is exactly as choose_partner saw it.
-  // Partner-side state is re-read below, AFTER the flush.
-  if (in_wave_[pidx] != 0) flush_wave();
-  HarnessNode& partner = *nodes_[pidx];
+  ev.pidx = index_of(choice->partner);
+  ev.choice = std::move(*choice);
+  ev.round = hn.state->round();
+  // `ev.choice` stays valid across this flush: no pending event touches the
+  // initiator (else plan_shuffle flushed), so hn.state is exactly as
+  // choose_partner saw it. Partner-side state is re-read below, AFTER it.
+  if (in_wave_[ev.pidx] != 0) flush_wave();
+  HarnessNode& partner = *nodes_[ev.pidx];
 
   if (!partner.alive) {
     // The leave fan-out touches the initiator's whole peerset; settle the
-    // network first, then run the sequential path inline.
+    // network first, then run it inline.
     flush_wave();
     ++stats_.dead_partner_hits;
-    handle_dead_partner(idx, pidx);
-    push_skip();
-    return;
+    ev.outcome = "dead_partner";
+    handle_dead_partner(ev.idx, ev.pidx);
+    return false;
   }
+  // Every refusal burns the initiator's round.
+  const auto refuse = [&](std::uint64_t& counter, const char* outcome) {
+    ++counter;
+    ev.outcome = outcome;
+    hn.state->skip_round();
+    return false;
+  };
   if (partner.quarantined.contains(hn.state->self().addr) ||
       hn.quarantined.contains(partner.state->self().addr)) {
-    ++stats_.byz_refused_quarantined;
-    hn.state->skip_round();
-    push_skip();
-    return;
+    // A quarantined pair refuses contact in either direction (mirrors
+    // core::Node's inbound drop).
+    return refuse(stats_.byz_refused_quarantined, "refused_quarantined");
   }
   if (config_.malicious_mode == MaliciousMode::kSeparateOverlay &&
       partner.malicious != hn.malicious) {
-    ++stats_.refused_cross_group;
-    hn.state->skip_round();
-    push_skip();
-    return;
+    return refuse(stats_.refused_cross_group, "refused_cross_group");
   }
   if (faults_) {
-    // Same legs, same FaultInjector RNG draws, same event order as the
-    // sequential path (the injector owns its stream, so plan order IS its
-    // sequential draw order).
+    // Synchronous exchange: a drop on any of the four logical legs (or a
+    // crashed endpoint) fails the whole shuffle. No retries here —
+    // core::Node models those. The injector owns its RNG stream, so plan
+    // order IS its draw order.
     const std::string& a = hn.state->self().addr;
     const std::string& b = partner.state->self().addr;
     const sim::TimePoint t = sim_.now();
@@ -694,36 +527,33 @@ void NetworkSim::plan_shuffle(std::size_t idx) {
         leg(b, a, core::MsgType::kRoundReply) ||
         leg(a, b, core::MsgType::kShuffleOffer) ||
         leg(b, a, core::MsgType::kShuffleResponse)) {
-      ++stats_.fault_failures;
-      hn.state->skip_round();
-      push_skip();
-      return;
+      return refuse(stats_.fault_failures, "fault");
     }
   }
 
-  // Full path. The verify draw moves ahead of the offer build relative to
-  // do_shuffle, which is safe: nothing between them consumes rng_ (make_offer
-  // and apply_adversary only touch the node's own signer and rng).
-  auto ev = std::make_unique<WaveEvent>();
-  ev->idx = idx;
-  ev->pidx = pidx;
-  ev->when = when;
-  ev->choice = *choice;
-  ev->rj = partner.state->round();
-  ev->verify = rng_.chance(config_.verify_fraction);
-  if (ev->verify) ++stats_.shuffles_verified;
-  in_wave_[idx] = 1;
-  in_wave_[pidx] = 1;
-  push(std::move(ev));
-  if (wave_.size() >= kMaxWave) flush_wave();
+  // The verify draw precedes the offer build (deferred to the wave), which
+  // is safe: make_offer and apply_adversary only touch the initiator's own
+  // signer and rng, never rng_.
+  ev.rj = partner.state->round();
+  ev.verify = rng_.chance(config_.verify_fraction);
+  if (ev.verify) ++stats_.shuffles_verified;
+  return true;
 }
 
 void NetworkSim::flush_wave() {
   if (wave_.empty()) return;
+  const auto for_each_event = [this](const auto& fn) {
+    if (pool_ != nullptr) {
+      pool_->run(wave_.size(), fn);
+    } else {
+      for (std::size_t i = 0; i < wave_.size(); ++i) fn(i);
+    }
+  };
 
-  // Phase 1 (parallel): build offers, apply adversary mutations, gather every
-  // engine cache miss the planned verifications will need. Each item touches
-  // only its own event's two nodes (disjoint by construction).
+  // Phase 1 (parallel): build offers, apply adversary mutations and, with a
+  // pool, gather every engine cache miss the planned verifications will
+  // need. Each item touches only its own event's two nodes (disjoint by
+  // construction).
   const auto build = [this](std::size_t i) {
     WaveEvent& ev = *wave_[i];
     if (ev.skip) return;
@@ -734,14 +564,16 @@ void NetworkSim::flush_wave() {
                   apply_adversary(hn, ev.offer, ev.choice.partner);
     if (ev.attacked) ++ev.scratch.byz_attacks;
     ev.history_sample = static_cast<double>(ev.offer.history_suffix.size());
-    if (ev.verify) {
+    if (ev.verify && pool_ != nullptr) {
       core::gather_offer_checks(ev.offer, *partner.state, *partner.engine, ev.sink);
     }
   };
-  pool_->run(wave_.size(), build);
+  for_each_event(build);
 
-  // Phase 2 (single global batch): every cache miss of the wave, resolved in
-  // one verify_batch fanned across the persistent pool.
+  // Phase 2 (pool only, single global batch): every cache miss of the wave,
+  // resolved in one verify_batch fanned across the persistent pool. Without
+  // a pool each responder's engine verifies on its own in phase 3, so its
+  // cache sees exactly the lookups of an event run by itself.
   std::vector<crypto::VerifyJob> jobs;
   for (auto& evp : wave_) {
     evp->job_off = jobs.size();
@@ -749,10 +581,12 @@ void NetworkSim::flush_wave() {
     jobs.insert(jobs.end(), evp->sink.jobs.begin(), evp->sink.jobs.end());
   }
   std::vector<crypto::VerifyVerdict> verdicts(jobs.size());
-  if (!jobs.empty()) pooled_->verify_batch(jobs, verdicts);
+  if (!jobs.empty()) {
+    crypto::PooledProvider(*provider_, pool_.get()).verify_batch(jobs, verdicts);
+  }
 
   // Phase 3 (parallel): preload each responder engine with its slice of the
-  // verdicts, then replay the synchronous exchange cache-hot. Same node
+  // verdicts (pool only), then run the synchronous exchange. Same node
   // disjointness as phase 1; counter bumps go to the per-event scratch.
   const auto exec = [this, &jobs, &verdicts](std::size_t i) {
     WaveEvent& ev = *wave_[i];
@@ -770,26 +604,34 @@ void NetworkSim::flush_wave() {
               core::verify_offer(ev.offer, *partner.state, ev.rj, *partner.engine);
           !v) {
         if (ev.attacked) {
+          // Detection: the responder caught the mutation and quarantines
+          // the initiator. Honest failures stay in verification_failures so
+          // the "MUST stay 0 with honest nodes" invariant keeps its teeth.
           ++ev.scratch.byz_detections;
           quarantine(partner, hn.state->self(), ev.scratch);
         } else {
           ++ev.scratch.verification_failures;
         }
+        ev.outcome = "rejected";
+        ev.respond_outcome = "verify_failed";
         hn.state->skip_round();
         return;
       }
     }
     const auto response = core::make_response_and_commit(*partner.state, ev.offer);
+    ev.respond_outcome = "committed";
     if (ev.verify) {
       if (const auto v =
               core::verify_response(response, *hn.state, ev.offer, *hn.engine);
           !v) {
         ++ev.scratch.verification_failures;
+        ev.outcome = "response_rejected";
         hn.state->skip_round();
         return;
       }
     }
     core::apply_offer_outcome(*hn.state, ev.offer, response);
+    ev.outcome = "completed";
     ++ev.scratch.shuffles_completed;
     purge_zombies(hn);
     purge_zombies(partner);
@@ -801,12 +643,12 @@ void NetworkSim::flush_wave() {
       shuffle_pairs_[ev.pidx][ev.idx] = 1;
     }
   };
-  pool_->run(wave_.size(), exec);
+  for_each_event(exec);
 
   // Phase 4 (sequential merge, event order): fold scratch stats and history
-  // samples back, then emit every deferred re-arm. Event order makes the
-  // float accumulation, the per-node jitter draws and the re-arm sequence
-  // numbers identical to the sequential drive.
+  // samples back, emit spans, then every deferred re-arm. Event order makes
+  // the float accumulation, the span ids, the per-node jitter draws and the
+  // re-arm sequence numbers identical to event-at-a-time execution.
   std::uint64_t preloaded_total = 0;
   for (auto& evp : wave_) {
     WaveEvent& ev = *evp;
@@ -816,7 +658,6 @@ void NetworkSim::flush_wave() {
       history_samples_.add(ev.history_sample);
       stats_.shuffles_completed += ev.scratch.shuffles_completed;
       shuffle_delta_ += ev.scratch.shuffles_completed;
-      stats_.shuffles_verified += ev.scratch.shuffles_verified;
       stats_.verification_failures += ev.scratch.verification_failures;
       stats_.leave_reports += ev.scratch.leave_reports;
       stats_.byz_attacks += ev.scratch.byz_attacks;
@@ -824,13 +665,15 @@ void NetworkSim::flush_wave() {
       stats_.byz_quarantines += ev.scratch.byz_quarantines;
       preloaded_total += ev.preloaded;
     }
+    if (tracer_ != nullptr) emit_spans(ev);
     rearm_shuffle_at(ev.idx, ev.when);
   }
   const std::uint64_t jobs_total = jobs.size();
   wave_.clear();
+  if (pool_ == nullptr) return;
 
-  // Interned on the first flush only, so sequential-mode scrapes never see
-  // the series (the byz.*/durability lazy-interning rule).
+  // Interned on the first pooled flush only, so scrapes of runs without a
+  // pool never see the series (the byz.*/durability lazy-interning rule).
   if (!wave_ids_interned_) {
     wave_ids_interned_ = true;
     id_flushes_ = metrics_.counter("verify.epoch_batch.flushes");
@@ -840,6 +683,31 @@ void NetworkSim::flush_wave() {
   metrics_.add(id_flushes_);
   metrics_.add(id_jobs_, jobs_total);
   metrics_.add(id_preloaded_, preloaded_total);
+}
+
+void NetworkSim::emit_spans(const WaveEvent& ev) {
+  if (ev.outcome == nullptr) return;
+  const std::string& initiator = nodes_[ev.idx]->self.addr;
+  const std::string& responder = ev.choice.partner.addr;
+  const std::uint64_t root = tracer_->begin_span("shuffle", initiator, ev.when, {});
+  tracer_->attr(root, "partner", responder);
+  tracer_->attr(root, "round", std::to_string(ev.round));
+  if (ev.respond_outcome != nullptr) {
+    // Verify + commit happen on the responder, so they get their own child
+    // span; a detection nests its quarantine under it.
+    const std::uint64_t respond = tracer_->begin_span("shuffle.respond", responder,
+                                                      ev.when, tracer_->context(root));
+    if (ev.scratch.byz_quarantines != 0) {
+      const std::uint64_t q = tracer_->begin_span("accuse.quarantine", responder, ev.when,
+                                                  tracer_->context(respond));
+      tracer_->attr(q, "peer", initiator);
+      tracer_->end_span(q, ev.when);
+    }
+    tracer_->attr(respond, "outcome", ev.respond_outcome);
+    tracer_->end_span(respond, ev.when);
+  }
+  tracer_->attr(root, "outcome", ev.outcome);
+  tracer_->end_span(root, ev.when);
 }
 
 void NetworkSim::drive_until(sim::TimePoint deadline) {
@@ -865,9 +733,8 @@ void NetworkSim::drive_until(sim::TimePoint deadline) {
 }
 
 void NetworkSim::rearm_shuffle_at(std::size_t idx, sim::TimePoint event_when) {
-  // Identical jitter draw and identical absolute timestamp to the sequential
-  // schedule_shuffle call that would have run at event_when; the
-  // wave_deadline_ rule guarantees event_when + delay is still in the future.
+  // The wave_deadline_ rule guarantees event_when + delay is still in the
+  // future when a merge re-arms an earlier event.
   HarnessNode& hn = *nodes_[idx];
   const double jitter = (hn.rng.uniform01() * 2.0 - 1.0) * config_.shuffle_jitter_frac;
   const auto delay = static_cast<sim::Duration>(
@@ -879,32 +746,20 @@ void NetworkSim::rearm_shuffle_at(std::size_t idx, sim::TimePoint event_when) {
 
 void NetworkSim::run(std::size_t rounds,
                      const std::function<void(std::size_t)>& on_analysis) {
-  if (parallel()) {
-    // Tracing and metric timing are per-event instrumentation on the hot
-    // path; waves run events on worker threads, where both would race.
-    AN_ENSURE_MSG(tracer_ == nullptr,
-                  "wave-parallel drive (threads >= 1) is incompatible with tracing");
-    AN_ENSURE_MSG(!metrics_.timing_enabled(),
-                  "wave-parallel drive (threads >= 1) is incompatible with timing");
-  }
+  // Metric timing is per-event instrumentation on the hot path; pooled
+  // waves run events on worker threads, where it would race.
+  AN_ENSURE_MSG(pool_ == nullptr || !metrics_.timing_enabled(),
+                "wave-parallel drive (threads >= 2) is incompatible with timing");
   if (!run_started_) {
     run_started_ = true;
-    if (parallel()) {
-      drive_until(0);
-    } else {
-      sim_.run_until(0);
-    }
+    drive_until(0);
     if (on_analysis) on_analysis(0);
   }
   for (std::size_t i = 0; i < rounds; ++i) {
     ++rounds_completed_;
     const auto deadline = static_cast<sim::TimePoint>(rounds_completed_) *
                           config_.analysis_period;
-    if (parallel()) {
-      drive_until(deadline);
-    } else {
-      sim_.run_until(deadline);
-    }
+    drive_until(deadline);
     if (on_analysis) on_analysis(rounds_completed_);
   }
 }
@@ -924,7 +779,7 @@ void NetworkSim::schedule_churn(std::size_t count, sim::TimePoint start,
     sim_.schedule_at(when, [this, victim] {
       // Pending wave events may involve the victim; settle them first (they
       // all predate this event, so this is the sequential order).
-      if (parallel()) flush_wave();
+      flush_wave();
       HarnessNode& hn = *nodes_[victim];
       if (!hn.alive) return;
       hn.alive = false;
@@ -940,10 +795,10 @@ void NetworkSim::schedule_crash_restart(std::size_t idx, sim::TimePoint crash_at
   AN_ENSURE_MSG(restart_at > crash_at, "restart must follow the crash");
   AN_ENSURE(idx < nodes_.size());
   sim_.schedule_at(crash_at, [this, idx] {
-    if (parallel()) flush_wave();  // see schedule_churn
+    flush_wave();  // see schedule_churn
     HarnessNode& hn = *nodes_[idx];
     if (!hn.alive) return;
-    hn.alive = false;  // also terminates the schedule_shuffle timer chain
+    hn.alive = false;  // also terminates the shuffle timer chain
     --alive_count_;
     if (hn.joined) --joined_count_;
     hn.joined = false;
@@ -961,7 +816,7 @@ void NetworkSim::schedule_crash_restart(std::size_t idx, sim::TimePoint crash_at
 }
 
 void NetworkSim::restart_node(std::size_t idx) {
-  if (parallel()) flush_wave();  // see schedule_churn
+  flush_wave();  // see schedule_churn
   HarnessNode& hn = *nodes_[idx];
   if (hn.alive || hn.state != nullptr) return;  // the crash never fired
   // Reopen the data dir: a fresh journal over the surviving store, replayed
@@ -986,7 +841,7 @@ void NetworkSim::restart_node(std::size_t idx) {
   ++recovery_restarts_;
   recovery_entries_replayed_ += rec.entries.size();
   update_coverage(hn);
-  schedule_shuffle(idx);
+  rearm_shuffle_at(idx, sim_.now());
 }
 
 std::size_t NetworkSim::malicious_alive_count() const {

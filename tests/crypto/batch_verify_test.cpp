@@ -6,8 +6,10 @@
 #include <memory>
 #include <vector>
 
+#include "accountnet/crypto/pooled.hpp"
 #include "accountnet/crypto/provider.hpp"
 #include "accountnet/util/rng.hpp"
+#include "accountnet/util/worker_pool.hpp"
 
 namespace accountnet::crypto {
 namespace {
@@ -133,6 +135,25 @@ TEST_P(BatchVerifyTest, OrderDoesNotChangeVerdicts) {
   for (std::size_t i = 0; i < 9; ++i) {
     EXPECT_EQ(fwd[i].ok, bwd[8 - i].ok) << i;
     EXPECT_EQ(fwd[i].vrf_output, bwd[8 - i].vrf_output) << i;
+  }
+}
+
+TEST_P(BatchVerifyTest, PooledChunksMatchInnerBatch) {
+  // 5 jobs over 4 threads: ceil-sized chunks of 2 cover the batch after
+  // three parts, so the last part must resolve nothing.
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    util::WorkerPool pool(threads);
+    const PooledProvider pooled(*provider_, &pool);
+    for (const std::size_t n : {std::size_t{2}, std::size_t{5}, std::size_t{9}}) {
+      const JobSet s = build_jobs(*this, *provider_, n);
+      std::vector<VerifyVerdict> want(n), got(n);
+      provider_->verify_batch(s.jobs, want);
+      pooled.verify_batch(s.jobs, got);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(got[i].ok, want[i].ok) << "job " << i << " of " << n;
+        EXPECT_EQ(got[i].vrf_output, want[i].vrf_output) << "job " << i << " of " << n;
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "accountnet/analysis/bounds.hpp"
 #include "accountnet/harness/network_sim.hpp"
+#include "accountnet/obs/span.hpp"
 
 namespace accountnet::harness {
 namespace {
@@ -280,6 +281,81 @@ TEST(NetworkSim, TracerDoesNotPerturbHarnessOutcomes) {
   EXPECT_EQ(plain.stats().verification_failures,
             traced.stats().verification_failures);
   EXPECT_EQ(plain.joined_count(), traced.joined_count());
+}
+
+/// Seeded traced run reaching every span leg: adversary detections
+/// (quarantine spans and later refusals), churn (dead partners) and lossy
+/// links (faults).
+std::vector<obs::Span> traced_spans(std::size_t threads) {
+  auto config = small_config();
+  config.pm = 0.2;
+  config.adversary.bias_sample = true;
+  sim::FaultPlan plan;
+  plan.seed = 3;
+  sim::LinkFault lossy;
+  lossy.loss = 0.02;
+  plan.links.push_back(lossy);
+  config.fault_plan = plan;
+  config.threads = threads;
+  obs::Tracer tracer(5);
+  NetworkSim sim(config);
+  sim.set_tracer(&tracer);
+  sim.schedule_churn(10, sim::seconds(40), sim::seconds(30));
+  // Every thread count accepts a tracer (the wave drive once refused it).
+  EXPECT_NO_THROW(sim.run(12, nullptr)) << "threads " << threads;
+  return tracer.spans();
+}
+
+TEST(NetworkSim, TracedSpansIdenticalAtEveryThreadCount) {
+  const auto base = traced_spans(0);
+  const auto has = [&](const char* name, const char* outcome) {
+    return std::any_of(base.begin(), base.end(), [&](const obs::Span& s) {
+      const std::string* o = s.find_attr("outcome");
+      return s.name == name && (outcome == nullptr || (o != nullptr && *o == outcome));
+    });
+  };
+  ASSERT_TRUE(has("accuse.quarantine", nullptr));
+  ASSERT_TRUE(has("shuffle", "dead_partner"));
+  ASSERT_TRUE(has("shuffle", "fault"));
+  ASSERT_TRUE(has("shuffle", "refused_quarantined"));
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    const auto spans = traced_spans(threads);
+    ASSERT_EQ(spans.size(), base.size()) << "threads " << threads;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      ASSERT_EQ(obs::span_to_json_line(spans[i]), obs::span_to_json_line(base[i]))
+          << "threads " << threads << ", span " << i;
+    }
+  }
+}
+
+TEST(NetworkSim, OneThreadRunsWithoutWaveBatching) {
+  // threads = 1 has no worker threads, so it must be the threads = 0 run
+  // exactly: same engine cache traffic, no global-batch series. Small caches
+  // make evictions happen.
+  const auto cache_counters = [](std::size_t threads) {
+    auto config = small_config();
+    config.verification.sig_cache_capacity = 8;
+    config.verification.vrf_cache_capacity = 8;
+    config.threads = threads;
+    NetworkSim sim(config);
+    sim.run(10, nullptr);
+    std::vector<std::uint64_t> values;
+    for (const char* name :
+         {"verify.cache.hit", "verify.cache.miss", "verify.cache.evict"}) {
+      const auto id = sim.metrics().find(name);
+      EXPECT_TRUE(id.has_value()) << name;
+      values.push_back(id ? sim.metrics().counter_value(*id) : 0);
+    }
+    for (const char* name : {"verify.epoch_batch.flushes", "verify.epoch_batch.jobs",
+                             "verify.epoch_batch.preloaded"}) {
+      EXPECT_FALSE(sim.metrics().find(name).has_value())
+          << name << " interned at threads " << threads;
+    }
+    return values;
+  };
+  const auto sequential = cache_counters(0);
+  EXPECT_GT(sequential[2], 0u);
+  EXPECT_EQ(cache_counters(1), sequential);
 }
 
 }  // namespace

@@ -257,5 +257,27 @@ TEST(JsonLinesSink, WritesOneObjectPerLine) {
   std::remove(path.c_str());
 }
 
+TEST(JsonLinesSink, ReopeningAPathReplacesItsRows) {
+  // A bench re-run in the same directory must not append duplicate rows
+  // (benchdiff keys rows by occurrence and would mis-pair them).
+  const std::string path = ::testing::TempDir() + "/obs_sink_reopen_test.json";
+  std::remove(path.c_str());
+  {
+    JsonLinesSink sink(path);
+    sink.raw_line("{\"run\":1}");
+    sink.raw_line("{\"run\":1,\"row\":2}");
+  }
+  {
+    JsonLinesSink sink(path);
+    sink.raw_line("{\"run\":2}");
+  }
+  std::ifstream in(path);
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(in, line)) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{"{\"run\":2}"}));
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace accountnet::obs

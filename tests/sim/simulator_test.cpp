@@ -95,5 +95,30 @@ TEST(Simulator, TimeUnitConversions) {
   EXPECT_DOUBLE_EQ(to_milliseconds(milliseconds(7)), 7.0);
 }
 
+TEST(SimulatorNextEvent, EmptyQueueIsNullopt) {
+  Simulator s;
+  EXPECT_FALSE(s.next_event_time().has_value());
+  EXPECT_FALSE(s.has_next());
+  s.schedule(microseconds(5), [] {});
+  ASSERT_TRUE(s.next_event_time().has_value());
+  EXPECT_EQ(*s.next_event_time(), 5);
+  EXPECT_TRUE(s.has_next());
+  s.run();
+  EXPECT_FALSE(s.next_event_time().has_value());
+  // A zero-delay event is a valid timestamp, not a sentinel: the old -1
+  // convention could never express "next event at t = 0" unambiguously.
+  s.schedule(microseconds(0), [] {});
+  ASSERT_TRUE(s.next_event_time().has_value());
+  EXPECT_EQ(*s.next_event_time(), s.now());
+}
+
+TEST(SimulatorNextEvent, ReportsEarliestAcrossEqualTimestamps) {
+  Simulator s;
+  s.schedule(microseconds(7), [] {});
+  s.schedule(microseconds(3), [] {});
+  s.schedule(microseconds(3), [] {});
+  EXPECT_EQ(*s.next_event_time(), 3);
+}
+
 }  // namespace
 }  // namespace accountnet::sim
