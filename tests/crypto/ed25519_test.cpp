@@ -15,6 +15,10 @@ struct Rfc8032Vector {
   const char* signature;
 };
 
+// Print a vector by its name: gtest's default prints the raw pointer bytes,
+// which put ASLR-randomised addresses into the discovered test names.
+void PrintTo(const Rfc8032Vector& v, std::ostream* os) { *os << v.name; }
+
 const Rfc8032Vector kVectors[] = {
     {"TEST1_empty",
      "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
