@@ -67,12 +67,6 @@ struct SamplerCapabilities {
   /// True if the backend uses rejection sampling (Null retries), i.e. the
   /// proof count for a draw is variable up to max_proofs.
   bool rejection_sampling;
-  /// VerificationEngine invalidation semantics: every current backend
-  /// derives verdicts purely from per-signer VRF facts, so the engine's
-  /// per-signer generation bump on invalidate(peer) covers it. A future
-  /// backend with cross-signer state (e.g. interactive transcripts) must
-  /// set this false, which makes the engine bypass its verdict caches.
-  bool per_signer_verdicts;
 };
 
 /// A verifiable sampling strategy. Implementations are stateless and

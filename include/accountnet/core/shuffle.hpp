@@ -28,7 +28,6 @@
 namespace accountnet::core {
 
 class VerificationEngine;
-struct GatherSink;
 
 /// Draw domains (bound into every VRF alpha).
 inline constexpr std::string_view kPartnerDomain = "an.partner";
@@ -95,18 +94,6 @@ VerifyResult verify_offer(const ShuffleOffer& offer, const NodeState& state,
 /// resolution is swapped out.
 VerifyResult verify_offer(const ShuffleOffer& offer, const NodeState& state,
                           Round expected_round, VerificationEngine& engine);
-
-/// Gathers every signature/VRF check that
-/// `verify_offer(offer, state, expected_round, engine)` would resolve through
-/// `engine`'s caches, into `sink`, for a cross-node epoch batch
-/// (VerificationEngine::preload; docs/PARALLELISM.md). Probe-only and
-/// best-effort: caches and stats are untouched, and an offer that would fail
-/// a structural check just wastes its prefetched verdicts. Only the default
-/// kVrf sampler backend's draws are statically plannable; under other
-/// backends the sample checks are skipped (they resolve one-by-one through
-/// the engine at verify time, as today). `offer` must outlive the sink.
-void gather_offer_checks(const ShuffleOffer& offer, const NodeState& state,
-                         const VerificationEngine& engine, GatherSink& sink);
 
 /// Step 4 (responder): draw B, COMMIT the responder-side update (Algorithm 3)
 /// and return the response to send back.

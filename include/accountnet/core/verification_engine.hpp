@@ -20,9 +20,9 @@
 //      negative verdicts are cached: the underlying providers are
 //      deterministic, so a verdict can never change for fixed inputs.
 //      invalidate() bumps the signer's generation, orphaning its entries.
-//   3. Batching — cache misses are resolved through
-//      crypto::CryptoProvider::verify_batch(), which the real backend fans
-//      across a worker pool (see crypto/provider.hpp for the determinism
+//   3. Batching — the cache misses of one check are resolved together
+//      through crypto::CryptoProvider::verify_batch(), the seam a batch
+//      verifier plugs into (see crypto/provider.hpp for the determinism
 //      contract).
 //
 // The engine subclasses crypto::CryptoProvider, so it drops into any
@@ -34,13 +34,13 @@
 // plan_history_checks()/verify_sample_with() plans, which is what makes the
 // verdicts bit-identical with caches on or off and any batch size.
 //
-// Not thread-safe: one engine belongs to one simulation thread (worker
-// threads inside verify_batch never re-enter the engine).
+// Not thread-safe: one engine belongs to one node, and only one thread at a
+// time may use it (the harness wave drive hands each engine to at most one
+// worker per wave; docs/PARALLELISM.md).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,22 +59,6 @@
 namespace accountnet::core {
 
 class SamplerBackend;
-
-/// Deferred crypto jobs gathered from one message for a cross-node epoch
-/// batch (VerificationEngine::gather_* / preload). The sink owns every
-/// payload buffer the jobs view into — derived alphas, history-check
-/// payloads, nonce payloads — via stable-address deques; signature and proof
-/// views alias the gathered message itself, which must outlive the sink.
-struct GatherSink {
-  std::vector<crypto::VerifyJob> jobs;
-  std::deque<Bytes> owned;             ///< payload buffers the job views alias
-  std::deque<HistoryCheckPlan> plans;  ///< keeps per-entry payloads alive
-
-  /// Appends a signature job whose message the sink must own.
-  void add_sig(const crypto::PublicKeyBytes& pk, Bytes msg, BytesView sig);
-  /// Appends a VRF job whose alpha the sink must own.
-  void add_vrf(const crypto::PublicKeyBytes& pk, Bytes alpha, BytesView proof);
-};
 
 class VerificationEngine final : public crypto::CryptoProvider {
  public:
@@ -160,10 +144,9 @@ class VerificationEngine final : public crypto::CryptoProvider {
   /// backend takes the prefetch/batch path above (bit-identical to the
   /// pre-interface engine); any other backend replays through its own
   /// verify() with this engine standing in as the CryptoProvider, so
-  /// primitive VRF checks still resolve through the verdict caches. A
-  /// backend without per-signer verdict semantics bypasses the caches
-  /// entirely (resolved against the inner provider) — invalidate() only
-  /// knows how to orphan per-signer state.
+  /// primitive VRF checks still resolve through the verdict caches. Every
+  /// backend's verdicts are per-signer VRF facts, which is what lets
+  /// invalidate()'s per-signer generation bump cover them.
   VerifyResult verify_sample(const SamplerBackend& backend,
                              const crypto::PublicKeyBytes& prover_key,
                              const Peerset& candidates, std::size_t want,
@@ -177,48 +160,6 @@ class VerificationEngine final : public crypto::CryptoProvider {
                           const Peerset& candidates, std::string_view domain,
                           BytesView nonce, const std::vector<Bytes>& proofs,
                           const PeerId& claimed);
-
-  // --- Epoch-global batching (docs/PARALLELISM.md) --------------------------
-  //
-  // Gather/preload split the cache-miss crypto of a future verify_* call out
-  // of the call itself, so misses from MANY nodes' checks can be resolved in
-  // one global CryptoProvider::verify_batch and handed back before the
-  // verifies replay (which then run entirely cache-hot). All gathers are
-  // best-effort probes: they never mutate caches, stats or metrics, and a
-  // message that would fail a structural check merely wastes its prefetched
-  // verdicts. With enable_cache off they gather nothing (preload would have
-  // nowhere to put the verdicts).
-
-  /// Gathers the signature job for (pk, msg, sig) unless already cached.
-  void gather_sig(GatherSink& sink, const crypto::PublicKeyBytes& pk, Bytes msg,
-                  BytesView sig) const;
-  /// Gathers the VRF job for (pk, alpha, proof) unless already cached.
-  void gather_vrf(GatherSink& sink, const crypto::PublicKeyBytes& pk, Bytes alpha,
-                  BytesView proof) const;
-  /// Memo-aware: mirrors verify_history's exact/extension/full decision and
-  /// gathers only the per-entry signature checks that decision would run.
-  void gather_history(GatherSink& sink, const std::vector<HistoryEntry>& suffix,
-                      const PeerId& owner, const Peerset& claimed) const;
-  /// Checkpoint signature + full post-checkpoint plan (mirrors
-  /// verify_history_anchored).
-  void gather_history_anchored(GatherSink& sink, const Checkpoint& ck,
-                               const std::vector<HistoryEntry>& suffix,
-                               const PeerId& owner) const;
-  /// Gathers the VRF prefetch jobs verify_sample would batch (same guards:
-  /// non-empty draw, no proof flood).
-  void gather_sample(GatherSink& sink, const crypto::PublicKeyBytes& prover_key,
-                     const Peerset& candidates, std::size_t want,
-                     std::string_view domain, BytesView nonce,
-                     const std::vector<Bytes>& proofs) const;
-
-  /// Installs externally resolved verdicts put-if-absent, so the subsequent
-  /// verify_* replay hits the caches instead of the inner provider; returns
-  /// how many verdicts were actually installed (duplicates within `jobs`
-  /// collapse). Verdicts must come from a provider honouring the determinism
-  /// contract (crypto/provider.hpp), which is what keeps a preloaded cache
-  /// verdict-equivalent to an organically filled one.
-  std::size_t preload(std::span<const crypto::VerifyJob> jobs,
-                      std::span<const crypto::VerifyVerdict> verdicts) const;
 
   // --- Invalidation ---------------------------------------------------------
 

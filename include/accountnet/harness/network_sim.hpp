@@ -118,14 +118,11 @@ struct ExperimentConfig {
   /// Worker threads for the wave drive (docs/PARALLELISM.md). Every
   /// shuffle event is planned in event order and executed as part of a
   /// wave. 0 (the default) and 1 mean no worker threads: each event runs
-  /// inline as a wave of one and its engines verify on their own. N >= 2
-  /// batches conflict-free runs of events into waves executed on a
-  /// WorkerPool of N threads and resolves every engine cache miss of a wave
-  /// through ONE global CryptoProvider::verify_batch — with results
-  /// (digests, stats, spans, per-node protocol state) bit-identical at
-  /// every N. Only engine cache and batch *counters* (verify.cache.*,
-  /// verify.batch.*) may differ at N >= 2 (waves prefetch speculatively);
-  /// verdicts never do. Metrics timing needs N <= 1.
+  /// inline as a wave of one. N >= 2 batches conflict-free runs of events
+  /// into waves executed on a WorkerPool of N threads. Either way each
+  /// responder verifies with its own engine, so results (digests, stats,
+  /// spans, per-node protocol state, engine cache counters) are
+  /// bit-identical at every N. Metrics timing needs N <= 1.
   std::size_t threads = 0;
 };
 
@@ -292,11 +289,17 @@ class NetworkSim {
   void quarantine(HarnessNode& observer, const core::PeerId& accused,
                   HarnessStats& stats);
   void drop_cached_verdicts(HarnessNode& node, const core::PeerId& peer);
-  void handle_dead_partner(std::size_t idx, std::size_t partner_idx);
+  /// Skips the initiator's round and records `leaver` as gone (also used
+  /// for a fabricated partner address that has no node behind it).
+  void handle_dead_partner(std::size_t idx, const core::PeerId& leaver);
   void record_leave(HarnessNode& reporter_node, const core::PeerId& leaver,
                     HarnessStats& stats);
   void purge_zombies(HarnessNode& node);
   void update_coverage(HarnessNode& node);
+  /// Node index for `peer`'s address; nullopt for an address no node holds
+  /// (a fabricated peer an undetected equivocation planted in a peerset).
+  std::optional<std::size_t> find_index(const core::PeerId& peer) const;
+  /// find_index for peers that must be real nodes; throws otherwise.
   std::size_t index_of(const core::PeerId& peer) const;
   void sync_metrics();
 
@@ -309,9 +312,9 @@ class NetworkSim {
   /// The prologue of plan_shuffle; false when it finished the event (only
   /// the re-arm and the span remain).
   bool plan_prologue(WaveEvent& ev);
-  /// Executes the pending wave: build offers (+ gather engine cache misses
-  /// and run one global verify_batch, pool only) -> exec verify/commit ->
-  /// merge stats/samples/spans/re-arms (event order).
+  /// Executes the pending wave: build offer + exec verify/commit per event
+  /// (one parallel step with a pool) -> merge stats/samples/spans/re-arms
+  /// (event order).
   void flush_wave();
   /// Emits the event's shuffle spans at merge time, stamped with ev.when.
   void emit_spans(const WaveEvent& ev);
@@ -347,16 +350,12 @@ class NetworkSim {
   std::vector<std::vector<std::uint8_t>> shuffle_pairs_;  // optional heatmap
 
   // Wave drive state. The pool (threads >= 2 only) is what makes waves
-  // grow past one event and enables the global verify batch.
+  // grow past one event.
   std::unique_ptr<util::WorkerPool> pool_;
   std::vector<std::unique_ptr<WaveEvent>> wave_;
   std::vector<std::uint8_t> in_wave_;  ///< per-node: touched by a pending event
   sim::TimePoint wave_deadline_ = 0;   ///< latest safe event time before flush
   sim::Duration rearm_bound_ = 0;      ///< min re-arm delay minus one
-  // verify.epoch_batch.* ids, interned lazily on the first pooled flush so
-  // runs without a pool keep byte-identical scrapes.
-  obs::MetricId id_flushes_ = 0, id_jobs_ = 0, id_preloaded_ = 0;
-  bool wave_ids_interned_ = false;
 };
 
 }  // namespace accountnet::harness

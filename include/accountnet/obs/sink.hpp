@@ -1,7 +1,7 @@
 // Pluggable metric sinks.
 //
-// A Sink consumes MetricSamples produced by MetricsRegistry::scrape_to (and
-// optionally TraceEvents). Three implementations cover the repo's needs:
+// A Sink consumes MetricSamples produced by MetricsRegistry::scrape_to.
+// Three implementations cover the repo's needs:
 //
 //   * NullSink      — the default: scraping into it is free and allocation
 //                     free, so instrumentation can stay wired permanently.
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "accountnet/obs/metrics.hpp"
-#include "accountnet/obs/trace.hpp"
 
 namespace accountnet::obs {
 
@@ -31,8 +30,6 @@ class Sink {
   virtual ~Sink() = default;
 
   virtual void write(const MetricSample& sample, std::int64_t t_us) = 0;
-  /// Optional trace-event channel; ignored by default.
-  virtual void event(const TraceEvent& e) { (void)e; }
   virtual void flush() {}
 };
 
@@ -53,20 +50,14 @@ class MemorySink final : public Sink {
   void write(const MetricSample& sample, std::int64_t t_us) override {
     rows_.push_back(Row{t_us, sample});
   }
-  void event(const TraceEvent& e) override { events_.push_back(e); }
 
   const std::vector<Row>& rows() const { return rows_; }
-  const std::vector<TraceEvent>& events() const { return events_; }
   /// Last scraped row for `name`, or nullptr.
   const Row* last(std::string_view name) const;
-  void clear() {
-    rows_.clear();
-    events_.clear();
-  }
+  void clear() { rows_.clear(); }
 
  private:
   std::vector<Row> rows_;
-  std::vector<TraceEvent> events_;
 };
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -74,11 +65,6 @@ std::string json_escape(std::string_view s);
 
 /// Serializes one sample as a single JSON-lines row (no trailing newline).
 std::string to_json_line(const MetricSample& sample, std::int64_t t_us);
-
-/// Serializes one trace event as a single JSON-lines row (no trailing
-/// newline); the label is escaped, so hostile labels cannot break the stream:
-///   {"t_us":N,"kind":"trace","code":N,"a":N,"b":N,"label":"..."}
-std::string to_json_line(const TraceEvent& e);
 
 /// Writes one JSON object per sample to a file (the `BENCH_*.json`
 /// convention). Successive scrapes through one sink form one time series;
@@ -96,8 +82,6 @@ class JsonLinesSink final : public Sink {
   JsonLinesSink& operator=(const JsonLinesSink&) = delete;
 
   void write(const MetricSample& sample, std::int64_t t_us) override;
-  /// Drained TraceEvents become "kind":"trace" rows with escaped labels.
-  void event(const TraceEvent& e) override;
   /// Emits a caller-composed JSON object line (bench context rows).
   void raw_line(const std::string& json_object);
   void flush() override;

@@ -1,9 +1,8 @@
 // Persistent worker-thread pool for the parallel simulation paths.
 //
-// One pool is created per parallel run (harness wave execution and its
-// pooled crypto batches, see crypto/pooled.hpp) and reused across every
-// barrier, so the per-wave cost is a condition-variable wake instead of
-// thread spawns.
+// One pool is created per parallel run (harness wave execution, see
+// docs/PARALLELISM.md) and reused across every barrier, so the per-wave cost
+// is a condition-variable wake instead of thread spawns.
 //
 // Determinism contract: run(n, fn) invokes fn(i) exactly once for every
 // i < n and returns only after all calls finished (acquire/release on the

@@ -374,41 +374,6 @@ VerifyResult verify_offer(const ShuffleOffer& offer, const NodeState& state,
   return verify_offer_static(offer, state.self(), state.config(), engine);
 }
 
-void gather_offer_checks(const ShuffleOffer& offer, const NodeState& state,
-                         const VerificationEngine& engine, GatherSink& sink) {
-  // Mirrors verify_offer_static_impl's crypto checks in order: round
-  // signature, history proof, partner selection, sample A. Structural checks
-  // (self-shuffle, duplicate claim, round bounds) are left to the replay —
-  // except the duplicate-claim one, because the Peerset built here doubles
-  // as the memo-probe/candidate set and must match the replay's.
-  engine.gather_sig(sink, offer.initiator.key,
-                    shuffle_nonce_payload(offer.initiator_round),
-                    BytesView(offer.initiator_round_sig.data(),
-                              offer.initiator_round_sig.size()));
-  const Peerset claimed(offer.claimed_peerset);
-  if (claimed.size() != offer.claimed_peerset.size()) return;
-  if (offer.anchor) {
-    engine.gather_history_anchored(sink, *offer.anchor, offer.history_suffix,
-                                   offer.initiator);
-  } else {
-    engine.gather_history(sink, offer.history_suffix, offer.initiator, claimed);
-  }
-  // Draw checks are only plannable for the paper's VRF backend: other
-  // backends derive their own alphas inside their verify() replay.
-  const auto& caps = sampler_backend(state.config().sampler).capabilities();
-  if (caps.kind != SamplerKind::kVrf) return;
-  const Bytes partner_nonce = round_nonce(offer.initiator_round);
-  engine.gather_sample(sink, offer.initiator.key, claimed, 1, kPartnerDomain,
-                       BytesView(partner_nonce.data(), partner_nonce.size()),
-                       offer.partner_proofs);
-  const Peerset candidates = claimed.minus({state.self()});
-  const Bytes sample_nonce = round_nonce(offer.responder_round);
-  engine.gather_sample(sink, offer.initiator.key, candidates,
-                       state.config().shuffle_length - 1, kSampleDomain,
-                       BytesView(sample_nonce.data(), sample_nonce.size()),
-                       offer.sample_proofs);
-}
-
 HistoryEntry apply_update(NodeState& state, const PeerId& counterpart,
                           Round counterpart_round, Bytes counterpart_sig,
                           bool initiated, const std::vector<PeerId>& removed,

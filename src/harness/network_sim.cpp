@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <queue>
-#include <span>
 
 #include "accountnet/core/history.hpp"
 #include "accountnet/core/neighborhood.hpp"
 #include "accountnet/core/node.hpp"
 #include "accountnet/core/witness.hpp"
-#include "accountnet/crypto/pooled.hpp"
 #include "accountnet/crypto/sha256.hpp"
 #include "accountnet/storage/node_store.hpp"
 #include "accountnet/util/bytes.hpp"
@@ -74,7 +72,7 @@ struct NetworkSim::HarnessNode {
 
 /// One shuffle event of the wave drive (docs/PARALLELISM.md). The plan
 /// phase fills the sequential-prologue fields in event order; the build/exec
-/// phases (worker threads) only touch this event's two nodes plus the
+/// step (worker threads) only touches this event's two nodes plus the
 /// event's own slots; the merge phase folds scratch back and emits spans in
 /// event order.
 struct NetworkSim::WaveEvent {
@@ -91,13 +89,8 @@ struct NetworkSim::WaveEvent {
   /// "shuffle.respond" child (nullptr = the exchange never reached it).
   const char* outcome = nullptr;
   const char* respond_outcome = nullptr;
-  // Build outputs.
-  core::ShuffleOffer offer;
-  bool attacked = false;
+  // Build/exec outputs, merged at the barrier in event order.
   double history_sample = 0.0;
-  core::GatherSink sink;   ///< views alias `offer` — stable because events are heap-allocated
-  std::size_t job_off = 0, job_count = 0, preloaded = 0;
-  // Exec outputs, merged into stats_ at the barrier in event order.
   HarnessStats scratch;
 };
 
@@ -291,10 +284,16 @@ void NetworkSim::launch_node(std::size_t idx) {
   rearm_shuffle_at(idx, sim_.now());
 }
 
-std::size_t NetworkSim::index_of(const core::PeerId& peer) const {
+std::optional<std::size_t> NetworkSim::find_index(const core::PeerId& peer) const {
   const auto it = addr_to_index_.find(peer.addr);
-  AN_ENSURE_MSG(it != addr_to_index_.end(), "unknown peer address");
+  if (it == addr_to_index_.end()) return std::nullopt;
   return it->second;
+}
+
+std::size_t NetworkSim::index_of(const core::PeerId& peer) const {
+  const auto idx = find_index(peer);
+  AN_ENSURE_MSG(idx.has_value(), "unknown peer address");
+  return *idx;
 }
 
 bool NetworkSim::apply_adversary(HarnessNode& hn, core::ShuffleOffer& offer,
@@ -366,18 +365,17 @@ void NetworkSim::drop_cached_verdicts(HarnessNode& node, const core::PeerId& pee
   if (node.engine) node.engine->invalidate(peer);
 }
 
-void NetworkSim::handle_dead_partner(std::size_t idx, std::size_t partner_idx) {
+void NetworkSim::handle_dead_partner(std::size_t idx, const core::PeerId& leaver) {
   HarnessNode& hn = *nodes_[idx];
-  // Use the cached identity: a crashed partner has no NodeState to ask.
-  const core::PeerId& leaver = nodes_[partner_idx]->self;
   hn.state->skip_round();
   record_leave(hn, leaver, stats_);
   // Inform the reporter's peers; each confirms liveness (the dead node
   // cannot answer a ping) and records the report.
   const auto peers = hn.state->peerset().sorted();
   for (const auto& p : peers) {
-    const std::size_t pi = index_of(p);
-    HarnessNode& peer = *nodes_[pi];
+    const auto pi = find_index(p);
+    if (!pi) continue;  // a fabricated address has no node to inform
+    HarnessNode& peer = *nodes_[*pi];
     if (!peer.alive || peer.reported_leavers.contains(leaver.addr)) continue;
     const auto [round, sig] = hn.state->make_leave_report(leaver);
     peer.state->apply_leave_report(hn.state->self(), round, sig, leaver);
@@ -424,7 +422,9 @@ void NetworkSim::update_coverage(HarnessNode& node) {
     node.coverage_bits.assign((nodes_.size() + 63) / 64, 0);
   }
   for (const auto& p : node.state->peerset().sorted()) {
-    const std::size_t i = index_of(p);
+    const auto found = find_index(p);
+    if (!found) continue;  // coverage counts real nodes only
+    const std::size_t i = *found;
     auto& word = node.coverage_bits[i / 64];
     const std::uint64_t bit = std::uint64_t{1} << (i % 64);
     if (!(word & bit)) {
@@ -443,10 +443,9 @@ void NetworkSim::update_coverage(HarnessNode& node) {
 // wave_. Without a pool the wave is flushed right away, so each event runs
 // inline as a wave of one. With a pool, events accumulate and are executed in
 // parallel at flush time over PROVABLY disjoint node pairs (any plan whose
-// initiator or partner overlaps a pending event flushes first), and cache
-// misses gathered from every planned verification resolve through ONE global
-// verify_batch on the shared worker pool. See docs/PARALLELISM.md for the
-// bit-identity argument.
+// initiator or partner overlaps a pending event flushes first); each
+// responder verifies with its own engine inside that parallel step. See
+// docs/PARALLELISM.md for the bit-identity argument.
 
 void NetworkSim::plan_shuffle(std::size_t idx) {
   if (in_wave_[idx] != 0) flush_wave();
@@ -475,24 +474,29 @@ bool NetworkSim::plan_prologue(WaveEvent& ev) {
     hn.state->skip_round();
     return false;
   }
-  ev.pidx = index_of(choice->partner);
+  const auto pidx = find_index(choice->partner);
   ev.choice = std::move(*choice);
   ev.round = hn.state->round();
   // `ev.choice` stays valid across this flush: no pending event touches the
   // initiator (else plan_shuffle flushed), so hn.state is exactly as
   // choose_partner saw it. Partner-side state is re-read below, AFTER it.
-  if (in_wave_[ev.pidx] != 0) flush_wave();
-  HarnessNode& partner = *nodes_[ev.pidx];
+  if (pidx && in_wave_[*pidx] != 0) flush_wave();
 
-  if (!partner.alive) {
+  // A fabricated address (an undetected equivocation planted it) has no
+  // node behind it and can never answer, so it counts as a dead partner.
+  if (!pidx || !nodes_[*pidx]->alive) {
     // The leave fan-out touches the initiator's whole peerset; settle the
     // network first, then run it inline.
     flush_wave();
     ++stats_.dead_partner_hits;
     ev.outcome = "dead_partner";
-    handle_dead_partner(ev.idx, ev.pidx);
+    // Use the cached identity: a crashed partner has no NodeState to ask.
+    handle_dead_partner(ev.idx, pidx ? nodes_[*pidx]->self : ev.choice.partner);
     return false;
   }
+  ev.pidx = *pidx;
+  HarnessNode& partner = *nodes_[ev.pidx];
+
   // Every refusal burns the initiator's round.
   const auto refuse = [&](std::uint64_t& counter, const char* outcome) {
     ++counter;
@@ -542,68 +546,27 @@ bool NetworkSim::plan_prologue(WaveEvent& ev) {
 
 void NetworkSim::flush_wave() {
   if (wave_.empty()) return;
-  const auto for_each_event = [this](const auto& fn) {
-    if (pool_ != nullptr) {
-      pool_->run(wave_.size(), fn);
-    } else {
-      for (std::size_t i = 0; i < wave_.size(); ++i) fn(i);
-    }
-  };
 
-  // Phase 1 (parallel): build offers, apply adversary mutations and, with a
-  // pool, gather every engine cache miss the planned verifications will
-  // need. Each item touches only its own event's two nodes (disjoint by
-  // construction).
-  const auto build = [this](std::size_t i) {
+  // Build + exec (parallel with a pool, one item per event): build the
+  // offer, apply adversary mutations, then run the synchronous exchange. The
+  // responder's own engine verifies the offer, exactly as an event run by
+  // itself would. Each item touches only its own event's two nodes (disjoint
+  // by construction) and bumps counters in its per-event scratch.
+  const auto run_event = [this](std::size_t i) {
     WaveEvent& ev = *wave_[i];
     if (ev.skip) return;
     HarnessNode& hn = *nodes_[ev.idx];
     HarnessNode& partner = *nodes_[ev.pidx];
-    ev.offer = core::make_offer(*hn.state, ev.choice, ev.rj);
-    ev.attacked = hn.malicious && config_.adversary.any() &&
-                  apply_adversary(hn, ev.offer, ev.choice.partner);
-    if (ev.attacked) ++ev.scratch.byz_attacks;
-    ev.history_sample = static_cast<double>(ev.offer.history_suffix.size());
-    if (ev.verify && pool_ != nullptr) {
-      core::gather_offer_checks(ev.offer, *partner.state, *partner.engine, ev.sink);
-    }
-  };
-  for_each_event(build);
-
-  // Phase 2 (pool only, single global batch): every cache miss of the wave,
-  // resolved in one verify_batch fanned across the persistent pool. Without
-  // a pool each responder's engine verifies on its own in phase 3, so its
-  // cache sees exactly the lookups of an event run by itself.
-  std::vector<crypto::VerifyJob> jobs;
-  for (auto& evp : wave_) {
-    evp->job_off = jobs.size();
-    evp->job_count = evp->sink.jobs.size();
-    jobs.insert(jobs.end(), evp->sink.jobs.begin(), evp->sink.jobs.end());
-  }
-  std::vector<crypto::VerifyVerdict> verdicts(jobs.size());
-  if (!jobs.empty()) {
-    crypto::PooledProvider(*provider_, pool_.get()).verify_batch(jobs, verdicts);
-  }
-
-  // Phase 3 (parallel): preload each responder engine with its slice of the
-  // verdicts (pool only), then run the synchronous exchange. Same node
-  // disjointness as phase 1; counter bumps go to the per-event scratch.
-  const auto exec = [this, &jobs, &verdicts](std::size_t i) {
-    WaveEvent& ev = *wave_[i];
-    if (ev.skip) return;
-    HarnessNode& hn = *nodes_[ev.idx];
-    HarnessNode& partner = *nodes_[ev.pidx];
-    if (ev.job_count > 0) {
-      ev.preloaded = partner.engine->preload(
-          std::span<const crypto::VerifyJob>(jobs).subspan(ev.job_off, ev.job_count),
-          std::span<const crypto::VerifyVerdict>(verdicts).subspan(ev.job_off,
-                                                                   ev.job_count));
-    }
+    core::ShuffleOffer offer = core::make_offer(*hn.state, ev.choice, ev.rj);
+    const bool attacked = hn.malicious && config_.adversary.any() &&
+                          apply_adversary(hn, offer, ev.choice.partner);
+    if (attacked) ++ev.scratch.byz_attacks;
+    ev.history_sample = static_cast<double>(offer.history_suffix.size());
     if (ev.verify) {
       if (const auto v =
-              core::verify_offer(ev.offer, *partner.state, ev.rj, *partner.engine);
+              core::verify_offer(offer, *partner.state, ev.rj, *partner.engine);
           !v) {
-        if (ev.attacked) {
+        if (attacked) {
           // Detection: the responder caught the mutation and quarantines
           // the initiator. Honest failures stay in verification_failures so
           // the "MUST stay 0 with honest nodes" invariant keeps its teeth.
@@ -618,11 +581,11 @@ void NetworkSim::flush_wave() {
         return;
       }
     }
-    const auto response = core::make_response_and_commit(*partner.state, ev.offer);
+    const auto response = core::make_response_and_commit(*partner.state, offer);
     ev.respond_outcome = "committed";
     if (ev.verify) {
       if (const auto v =
-              core::verify_response(response, *hn.state, ev.offer, *hn.engine);
+              core::verify_response(response, *hn.state, offer, *hn.engine);
           !v) {
         ++ev.scratch.verification_failures;
         ev.outcome = "response_rejected";
@@ -630,7 +593,7 @@ void NetworkSim::flush_wave() {
         return;
       }
     }
-    core::apply_offer_outcome(*hn.state, ev.offer, response);
+    core::apply_offer_outcome(*hn.state, offer, response);
     ev.outcome = "completed";
     ++ev.scratch.shuffles_completed;
     purge_zombies(hn);
@@ -643,13 +606,16 @@ void NetworkSim::flush_wave() {
       shuffle_pairs_[ev.pidx][ev.idx] = 1;
     }
   };
-  for_each_event(exec);
+  if (pool_ != nullptr) {
+    pool_->run(wave_.size(), run_event);
+  } else {
+    for (std::size_t i = 0; i < wave_.size(); ++i) run_event(i);
+  }
 
-  // Phase 4 (sequential merge, event order): fold scratch stats and history
-  // samples back, emit spans, then every deferred re-arm. Event order makes
-  // the float accumulation, the span ids, the per-node jitter draws and the
-  // re-arm sequence numbers identical to event-at-a-time execution.
-  std::uint64_t preloaded_total = 0;
+  // Merge (sequential, event order): fold scratch stats and history samples
+  // back, emit spans, then every deferred re-arm. Event order makes the float
+  // accumulation, the span ids, the per-node jitter draws and the re-arm
+  // sequence numbers identical to event-at-a-time execution.
   for (auto& evp : wave_) {
     WaveEvent& ev = *evp;
     in_wave_[ev.idx] = 0;
@@ -663,26 +629,11 @@ void NetworkSim::flush_wave() {
       stats_.byz_attacks += ev.scratch.byz_attacks;
       stats_.byz_detections += ev.scratch.byz_detections;
       stats_.byz_quarantines += ev.scratch.byz_quarantines;
-      preloaded_total += ev.preloaded;
     }
     if (tracer_ != nullptr) emit_spans(ev);
     rearm_shuffle_at(ev.idx, ev.when);
   }
-  const std::uint64_t jobs_total = jobs.size();
   wave_.clear();
-  if (pool_ == nullptr) return;
-
-  // Interned on the first pooled flush only, so scrapes of runs without a
-  // pool never see the series (the byz.*/durability lazy-interning rule).
-  if (!wave_ids_interned_) {
-    wave_ids_interned_ = true;
-    id_flushes_ = metrics_.counter("verify.epoch_batch.flushes");
-    id_jobs_ = metrics_.counter("verify.epoch_batch.jobs");
-    id_preloaded_ = metrics_.counter("verify.epoch_batch.preloaded");
-  }
-  metrics_.add(id_flushes_);
-  metrics_.add(id_jobs_, jobs_total);
-  metrics_.add(id_preloaded_, preloaded_total);
 }
 
 void NetworkSim::emit_spans(const WaveEvent& ev) {
@@ -866,7 +817,7 @@ analysis::Adjacency NetworkSim::snapshot_adjacency() const {
     if (!n->alive || !n->joined) continue;
     auto& row = adj[n->index];
     for (const auto& p : n->state->peerset().sorted()) {
-      row.push_back(index_of(p));
+      if (const auto v = find_index(p)) row.push_back(*v);  // fabricated: no node
     }
     std::sort(row.begin(), row.end());
   }
@@ -886,8 +837,11 @@ std::vector<std::size_t> NetworkSim::neighborhood_indices(std::size_t idx,
       const HarnessNode& un = *nodes_[u];
       if (!un.alive || !un.joined) continue;
       for (const auto& p : un.state->peerset().sorted()) {
-        const std::size_t v = index_of(p);
-        if (!nodes_[v]->alive) continue;  // ping test fails during discovery
+        const auto found = find_index(p);
+        // The ping test fails during discovery: for a dead node, and for a
+        // fabricated address no node holds.
+        if (!found || !nodes_[*found]->alive) continue;
+        const std::size_t v = *found;
         if (visited.insert(v).second) {
           result.push_back(v);
           next.push_back(v);

@@ -82,13 +82,6 @@ std::string to_json_line(const MetricSample& sample, std::int64_t t_us) {
   return out;
 }
 
-std::string to_json_line(const TraceEvent& e) {
-  return "{\"t_us\":" + std::to_string(e.t_us) +
-         ",\"kind\":\"trace\",\"code\":" + std::to_string(e.code) +
-         ",\"a\":" + std::to_string(e.a) + ",\"b\":" + std::to_string(e.b) +
-         ",\"label\":\"" + json_escape(e.label) + "\"}";
-}
-
 JsonLinesSink::JsonLinesSink(const std::string& path)
     : stream_(std::fopen(path.c_str(), "w")), owned_(true) {
   AN_ENSURE_MSG(stream_ != nullptr, "cannot open metrics sink file: " + path);
@@ -104,12 +97,6 @@ JsonLinesSink::~JsonLinesSink() {
 
 void JsonLinesSink::write(const MetricSample& sample, std::int64_t t_us) {
   const std::string line = to_json_line(sample, t_us);
-  std::fwrite(line.data(), 1, line.size(), stream_);
-  std::fputc('\n', stream_);
-}
-
-void JsonLinesSink::event(const TraceEvent& e) {
-  const std::string line = to_json_line(e);
   std::fwrite(line.data(), 1, line.size(), stream_);
   std::fputc('\n', stream_);
 }

@@ -86,7 +86,6 @@ void SimNetwork::set_metrics(obs::MetricsRegistry* registry, TypeNamer namer) {
   metrics_ = registry;
   namer_ = std::move(namer);
   per_type_.clear();  // ids belong to the previous registry
-  ring_gauges_ready_ = false;
 }
 
 const SimNetwork::TypeMetrics& SimNetwork::type_metrics(std::uint32_t type) {
@@ -173,19 +172,6 @@ void SimNetwork::send(NetMessage msg) {
     // gateway never perturbs the rng stream seen by in-fabric traffic.
     gateway_(msg);
     return;
-  }
-  if (trace_ != nullptr) {
-    trace_->push({sim_.now(), msg.type, msg.payload.size(), 0,
-                  msg.from + "->" + msg.to});
-    if (metrics_ != nullptr) {
-      if (!ring_gauges_ready_) {
-        ring_size_id_ = metrics_->gauge("obs.trace.size");
-        ring_dropped_id_ = metrics_->gauge("obs.trace.dropped");
-        ring_gauges_ready_ = true;
-      }
-      metrics_->set(ring_size_id_, static_cast<double>(trace_->size()));
-      metrics_->set(ring_dropped_id_, static_cast<double>(trace_->dropped()));
-    }
   }
   const std::uint64_t hop_span = begin_hop_span(msg);
   FaultDecision fault;

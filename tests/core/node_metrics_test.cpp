@@ -77,19 +77,6 @@ TEST(SimNetworkMetrics, DefaultNamerFallsBackToTypeNumber) {
   EXPECT_EQ(metrics.counter_value(*id), 1u);
 }
 
-TEST(SimNetworkMetrics, TraceRingRecordsSends) {
-  sim::Simulator sim;
-  sim::SimNetwork net(sim, sim::fixed_latency(0), /*rng_seed=*/1);
-  obs::TraceRing ring(8);
-  net.set_trace(&ring);
-  net.send({"src", "dst", static_cast<std::uint32_t>(MsgType::kPing), Bytes{1, 2}});
-  const auto snap = ring.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].code, static_cast<std::uint32_t>(MsgType::kPing));
-  EXPECT_EQ(snap[0].a, 2u);  // payload bytes
-  EXPECT_EQ(snap[0].label, "src->dst");
-}
-
 class NodeMetrics : public ::testing::Test {
  protected:
   NodeMetrics() : net(sim, sim::netem_latency(), /*rng_seed=*/77) {}

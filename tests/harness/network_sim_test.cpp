@@ -328,34 +328,79 @@ TEST(NetworkSim, TracedSpansIdenticalAtEveryThreadCount) {
   }
 }
 
-TEST(NetworkSim, OneThreadRunsWithoutWaveBatching) {
-  // threads = 1 has no worker threads, so it must be the threads = 0 run
-  // exactly: same engine cache traffic, no global-batch series. Small caches
-  // make evictions happen.
-  const auto cache_counters = [](std::size_t threads) {
+TEST(NetworkSim, EngineCountersIdenticalAtEveryThreadCount) {
+  // Every responder verifies with its own engine at every thread count, so
+  // engine cache and batch traffic is the threads = 0 run's exactly, and a
+  // pooled run interns no series of its own. Small caches make evictions
+  // happen.
+  struct Scrape {
+    std::vector<std::uint64_t> engine;
+    std::vector<std::string> names;
+  };
+  const auto scrape = [](std::size_t threads) {
     auto config = small_config();
     config.verification.sig_cache_capacity = 8;
     config.verification.vrf_cache_capacity = 8;
     config.threads = threads;
     NetworkSim sim(config);
     sim.run(10, nullptr);
-    std::vector<std::uint64_t> values;
-    for (const char* name :
-         {"verify.cache.hit", "verify.cache.miss", "verify.cache.evict"}) {
+    Scrape out;
+    for (const char* name : {"verify.cache.hit", "verify.cache.miss",
+                             "verify.cache.evict", "verify.batch.calls",
+                             "verify.batch.jobs"}) {
       const auto id = sim.metrics().find(name);
       EXPECT_TRUE(id.has_value()) << name;
-      values.push_back(id ? sim.metrics().counter_value(*id) : 0);
+      out.engine.push_back(id ? sim.metrics().counter_value(*id) : 0);
     }
-    for (const char* name : {"verify.epoch_batch.flushes", "verify.epoch_batch.jobs",
-                             "verify.epoch_batch.preloaded"}) {
-      EXPECT_FALSE(sim.metrics().find(name).has_value())
-          << name << " interned at threads " << threads;
+    for (obs::MetricId id = 0; id < sim.metrics().size(); ++id) {
+      out.names.push_back(sim.metrics().metric_name(id));
     }
-    return values;
+    return out;
   };
-  const auto sequential = cache_counters(0);
-  EXPECT_GT(sequential[2], 0u);
-  EXPECT_EQ(cache_counters(1), sequential);
+  const Scrape sequential = scrape(0);
+  EXPECT_GT(sequential.engine[2], 0u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    const Scrape pooled = scrape(threads);
+    EXPECT_EQ(pooled.engine, sequential.engine) << "threads " << threads;
+    EXPECT_EQ(pooled.names, sequential.names) << "threads " << threads;
+  }
+}
+
+/// Separate-overlay adversaries that both bias samples and equivocate. An
+/// undetected equivocation plants a fabricated `zz-fab-*` address in a
+/// peerset; picking it as a partner once aborted the harness ("unknown peer
+/// address"). It must count as a dead partner instead.
+HarnessStats fabricated_partner_stats(std::size_t threads) {
+  auto config = small_config();
+  config.network_size = 150;
+  config.pm = 0.2;
+  config.seed = 14;
+  config.malicious_mode = MaliciousMode::kSeparateOverlay;
+  config.adversary.bias_sample = true;
+  config.adversary.equivocate = true;
+  config.threads = threads;
+  NetworkSim sim(config);
+  // The analysis walks every peerset too, fabricated addresses included.
+  EXPECT_NO_THROW(sim.run(14, [&](std::size_t) { sim.snapshot_adjacency(); }))
+      << "threads " << threads;
+  return sim.stats();
+}
+
+TEST(NetworkSim, FabricatedPartnerCountsAsDeadPartner) {
+  const HarnessStats sequential = fabricated_partner_stats(0);
+  EXPECT_EQ(sequential.verification_failures, 0u);
+  EXPECT_GT(sequential.byz_attacks, 0u);
+  EXPECT_GT(sequential.dead_partner_hits, 0u);
+  const HarnessStats pooled = fabricated_partner_stats(2);
+  EXPECT_EQ(pooled.verification_failures, 0u);
+  const auto fields = [](const HarnessStats& s) {
+    return std::vector<std::uint64_t>{
+        s.shuffles_attempted, s.shuffles_completed, s.shuffles_verified,
+        s.verification_failures, s.dead_partner_hits, s.refused_cross_group,
+        s.leave_reports, s.fault_failures, s.byz_attacks, s.byz_detections,
+        s.byz_quarantines, s.byz_refused_quarantined};
+  };
+  EXPECT_EQ(fields(pooled), fields(sequential));
 }
 
 }  // namespace

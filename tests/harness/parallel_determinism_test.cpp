@@ -6,8 +6,6 @@
 // transitive assertion.
 #include <gtest/gtest.h>
 
-#include "accountnet/crypto/pooled.hpp"
-#include "accountnet/util/worker_pool.hpp"
 #include "../core/sampler_baseline_scenarios.hpp"
 
 namespace accountnet::testing {
@@ -23,29 +21,6 @@ TEST(ParallelDeterminism, HarnessScenarioBitIdenticalAtEveryThreadCount) {
   ASSERT_EQ(guard_harness_digest(0), kHarnessDigest);
   for (const std::size_t t : kThreadGrid) {
     EXPECT_EQ(guard_harness_digest(t), kHarnessDigest) << "threads " << t;
-  }
-}
-
-// Event-driven scenarios have no thread knob; their parallel surface is the
-// crypto batch fan-out. Wrapping the backend in a PooledProvider must leave
-// the digests untouched at every pool size (provider determinism contract).
-TEST(ParallelDeterminism, ByzSoakScenarioUnperturbedByPooledCrypto) {
-  const std::string baseline = guard_byz_digest();
-  for (const std::size_t t : kThreadGrid) {
-    util::WorkerPool pool(t);
-    const auto inner = crypto::make_fast_crypto();
-    const crypto::PooledProvider pooled(*inner, &pool);
-    EXPECT_EQ(guard_byz_digest(&pooled), baseline) << "threads " << t;
-  }
-}
-
-TEST(ParallelDeterminism, Fig20ScenarioUnperturbedByPooledCrypto) {
-  const std::string baseline = guard_fig20_digest();
-  for (const std::size_t t : kThreadGrid) {
-    util::WorkerPool pool(t);
-    const auto inner = crypto::make_fast_crypto();
-    const crypto::PooledProvider pooled(*inner, &pool);
-    EXPECT_EQ(guard_fig20_digest(&pooled), baseline) << "threads " << t;
   }
 }
 

@@ -195,45 +195,6 @@ TEST(JsonLines, EscapesStrings) {
   EXPECT_EQ(json_escape("line\nbreak\t"), "line\\nbreak\\t");
 }
 
-// Trace-event labels carry peer addresses and other peer-influenced bytes;
-// an adversarial label must not break the one-object-per-line contract.
-TEST(JsonLines, TraceEventEscapesAdversarialLabel) {
-  TraceEvent e;
-  e.t_us = 12;
-  e.code = 3;
-  e.a = 64;
-  e.b = 9;
-  e.label = "ev\"il\\node\n->\tn2";
-  const std::string line = to_json_line(e);
-  EXPECT_EQ(line,
-            "{\"t_us\":12,\"kind\":\"trace\",\"code\":3,\"a\":64,\"b\":9,"
-            "\"label\":\"ev\\\"il\\\\node\\n->\\tn2\"}");
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-}
-
-TEST(JsonLinesSink, WritesEscapedTraceEvents) {
-  const std::string path = ::testing::TempDir() + "/obs_sink_event_test.json";
-  std::remove(path.c_str());
-  {
-    JsonLinesSink sink(path);
-    sink.event({5, 1, 2, 3, "plain"});
-    sink.event({6, 1, 2, 3, "with \"quotes\" and\nnewline"});
-    sink.flush();
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0],
-            "{\"t_us\":5,\"kind\":\"trace\",\"code\":1,\"a\":2,\"b\":3,"
-            "\"label\":\"plain\"}");
-  EXPECT_EQ(lines[1],
-            "{\"t_us\":6,\"kind\":\"trace\",\"code\":1,\"a\":2,\"b\":3,"
-            "\"label\":\"with \\\"quotes\\\" and\\nnewline\"}");
-  std::remove(path.c_str());
-}
-
 TEST(JsonLinesSink, WritesOneObjectPerLine) {
   const std::string path = ::testing::TempDir() + "/obs_sink_test.json";
   std::remove(path.c_str());

@@ -112,27 +112,6 @@ TEST(SimNetwork, PingPongConversation) {
   EXPECT_EQ(sim.now(), milliseconds(7 * 20));
 }
 
-TEST(SimNetwork, TraceRingGaugesSurfaceInScrapes) {
-  Simulator sim;
-  SimNetwork net(sim, fixed_latency(0), 1);
-  obs::TraceRing ring(2);
-  obs::MetricsRegistry reg;
-  net.set_trace(&ring);
-  net.set_metrics(&reg, nullptr);
-  net.attach("b", [](const NetMessage&) {});
-  for (int i = 0; i < 3; ++i) net.send({"a", "b", 0, Bytes{1}});
-  sim.run();
-  // Ring capacity 2, 3 events pushed: occupancy pins at 2, one overwritten.
-  obs::MemorySink sink;
-  reg.scrape_to(sink, 0);
-  const auto* size = sink.last("obs.trace.size");
-  ASSERT_NE(size, nullptr);
-  EXPECT_DOUBLE_EQ(size->sample.value, 2.0);
-  const auto* dropped = sink.last("obs.trace.dropped");
-  ASSERT_NE(dropped, nullptr);
-  EXPECT_DOUBLE_EQ(dropped->sample.value, 1.0);
-}
-
 TEST(SimNetwork, HopSpansJoinTheSenderTrace) {
   Simulator sim;
   SimNetwork net(sim, fixed_latency(milliseconds(5)), 1);
