@@ -62,6 +62,16 @@ PeerId decode_peer(wire::Reader& r);
 void encode_entry(wire::Writer& w, const HistoryEntry& e);
 HistoryEntry decode_entry(wire::Reader& r);
 
+/// Length-prefixed lists: a varint count, then each element. The decoders
+/// throw wire::DecodeError on a count above 100000, before reserving
+/// anything.
+void encode_peer_list(wire::Writer& w, const std::vector<PeerId>& peers);
+std::vector<PeerId> decode_peer_list(wire::Reader& r);
+void encode_bytes_list(wire::Writer& w, const std::vector<Bytes>& list);
+std::vector<Bytes> decode_bytes_list(wire::Reader& r);
+void encode_entries(wire::Writer& w, const std::vector<HistoryEntry>& entries);
+std::vector<HistoryEntry> decode_entries(wire::Reader& r);
+
 /// Rolling chain digest over an entry sequence, shared by the verification
 /// engine's partner memos (verification_engine.cpp) and signed checkpoints
 /// (checkpoint.hpp): c_k = SHA256(c_{k-1} ‖ SHA256(encode_entry(e_k))),

@@ -34,7 +34,9 @@ struct NodeConfig {
   std::uint64_t checkpoint_interval = 0;
   /// Verifiable-sampling backend for every draw (core/sampler.hpp). Must be
   /// identical network-wide; proofs from one backend never verify under
-  /// another (domain separation). kVrf is the paper's algorithm.
+  /// another (domain separation). kVrf is the paper's algorithm. Fixed for
+  /// the node's lifetime: NodeState holds its config const, so a mid-epoch
+  /// swap that would orphan every proof in flight cannot be expressed.
   SamplerKind sampler = SamplerKind::kVrf;
 };
 
@@ -72,11 +74,6 @@ class NodeState {
   /// Returns the (reporter_round, signature) pair peers need to record it.
   std::pair<Round, Bytes> make_leave_report(const PeerId& leaver) const;
 
-  /// Pre-start reconfiguration only: Node::update_config() rejects sampler
-  /// swaps once the node is running, but must keep its own config copy and
-  /// this one coherent when a swap is still legal.
-  void set_sampler(SamplerKind kind) { config_.sampler = kind; }
-
   /// Low-level mutators used by the shuffle engine.
   void commit_shuffle(HistoryEntry entry, Peerset next_peerset);
   /// Burns a round without a peerset change (failed/aborted shuffle).
@@ -106,7 +103,7 @@ class NodeState {
 
   PeerId self_;
   std::unique_ptr<crypto::Signer> signer_;
-  NodeConfig config_;
+  const NodeConfig config_;
   Round round_ = 0;
   Peerset peerset_;
   UpdateHistory history_;

@@ -32,7 +32,7 @@
 // the verification logic it replays stays in the pure functions; both the
 // provider-backed and engine-backed paths resolve the same
 // plan_history_checks()/verify_sample_with() plans, which is what makes the
-// verdicts bit-identical with caches on or off and any batch size.
+// verdicts bit-identical to the uncached pure functions, batched or not.
 //
 // Not thread-safe: one engine belongs to one node, and only one thread at a
 // time may use it (the harness wave drive hands each engine to at most one
@@ -63,15 +63,15 @@ class SamplerBackend;
 class VerificationEngine final : public crypto::CryptoProvider {
  public:
   struct Config {
-    bool enable_cache = true;  ///< verdict memoization + history memos
     bool enable_batch = true;  ///< resolve cache misses via verify_batch()
     std::size_t sig_cache_capacity = 4096;
     std::size_t vrf_cache_capacity = 4096;
     std::size_t history_memo_capacity = 256;
-    /// Fewer misses than this are resolved with direct per-primitive calls
-    /// (a batch of one just adds dispatch overhead).
-    std::size_t batch_min = 2;
   };
+
+  /// Fewer misses than this are resolved with direct per-primitive calls
+  /// (a batch of one just adds dispatch overhead).
+  static constexpr std::size_t kBatchMin = 2;
 
   /// Monotonic engine-lifetime counters (also mirrored to obs metrics when a
   /// registry is attached).
@@ -106,7 +106,7 @@ class VerificationEngine final : public crypto::CryptoProvider {
       BytesView proof) const override;
   /// Cache-aware: hits fill their verdict slots directly; misses are
   /// resolved through the inner provider (batched when enable_batch and at
-  /// least batch_min of them) and then cached.
+  /// least kBatchMin of them) and then cached.
   void verify_batch(std::span<const crypto::VerifyJob> jobs,
                     std::span<crypto::VerifyVerdict> verdicts) const override;
   const char* name() const override;

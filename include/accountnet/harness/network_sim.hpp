@@ -54,8 +54,7 @@ struct ExperimentConfig {
   double pm = 0.0;                   ///< malicious probability
   MaliciousMode malicious_mode = MaliciousMode::kFollowProtocol;
 
-  sim::Duration shuffle_period = sim::seconds(10);
-  double shuffle_jitter_frac = 0.25;
+  sim::Duration shuffle_period = sim::seconds(10);  ///< jittered by +-25%
   sim::Duration analysis_period = sim::seconds(10);
 
   /// Launch model: `lane_size` nodes per emulated VM, consecutive launches
@@ -99,9 +98,10 @@ struct ExperimentConfig {
   /// Active-adversary policy applied by flagged-malicious nodes (the same
   /// core::AdversaryPolicy that plugs into core::Node). At this layer only
   /// the shuffle-facing attacks are meaningful (bias_sample, forge_history,
-  /// truncate_history, equivocate); relay/witness attacks need the
-  /// event-driven stack. Detection happens through the responder's verify
-  /// path, so experiments that study detection set verify_fraction = 1.0.
+  /// truncate_history, equivocate); relay/witness attacks and
+  /// refuse_shuffles need the event-driven stack. Detection happens through
+  /// the responder's verify path, so experiments that study detection set
+  /// verify_fraction = 1.0.
   /// Default-constructed (all attacks off) keeps the harness bit-identical.
   core::AdversaryPolicy adversary;
 
@@ -109,9 +109,7 @@ struct ExperimentConfig {
   /// Caching never changes verdicts, so defaults keep every seeded run
   /// byte-identical; capacities are smaller than core::Node's because the
   /// harness multiplies them by |V| (10k nodes must stay cheap).
-  core::VerificationEngine::Config verification{.enable_cache = true,
-                                                .enable_batch = true,
-                                                .sig_cache_capacity = 256,
+  core::VerificationEngine::Config verification{.sig_cache_capacity = 256,
                                                 .vrf_cache_capacity = 256,
                                                 .history_memo_capacity = 64};
 

@@ -108,7 +108,8 @@ class Tracer {
 
 std::string span_to_json_line(const Span& s);
 void write_spans_jsonl(const std::vector<Span>& spans, const std::string& path);
-/// Parses one dump line; false (and `out` unspecified) on malformed input.
+/// Parses one dump line (util::json_parse); false (and `out` unspecified) on
+/// malformed input or a missing/zero span id.
 bool parse_span_json_line(const std::string& line, Span& out);
 /// Loads a dump produced by write_spans_jsonl, skipping malformed lines.
 std::vector<Span> load_spans_jsonl(const std::string& path);

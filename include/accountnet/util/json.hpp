@@ -1,8 +1,9 @@
 // Minimal recursive-descent JSON parser for the repo's own artifacts.
 //
 // Consumers: tools/benchdiff (BENCH_*.json rows), tools/accountnet-top
-// (daemon /status and /timeseries responses), and obs::TimeSeriesScraper
-// (reloading dumped trajectories). The grammar is full JSON; the
+// (daemon /status and /timeseries responses), obs::TimeSeriesScraper
+// (reloading dumped trajectories) and obs::load_spans_jsonl (span dumps).
+// The grammar is full JSON; the
 // implementation is deliberately small and fail-closed:
 //
 //   * parse() returns nullopt on ANY malformed input — no partial values,
@@ -49,6 +50,10 @@ class JsonValue {
   const std::string& as_string() const { return string_; }
   const JsonArray& as_array() const { return *array_; }
   const JsonObject& as_object() const { return *object_; }
+  /// Object member names in document order (as_object() iterates them
+  /// name-sorted). A repeated name keeps its first position; like
+  /// as_object(), it holds the last value.
+  const std::vector<std::string>& keys() const { return *keys_; }
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* get(std::string_view key) const;
@@ -61,7 +66,7 @@ class JsonValue {
   static JsonValue make_number(double d);
   static JsonValue make_string(std::string s);
   static JsonValue make_array(JsonArray a);
-  static JsonValue make_object(JsonObject o);
+  static JsonValue make_object(JsonObject o, std::vector<std::string> keys);
 
  private:
   Type type_ = Type::kNull;
@@ -70,6 +75,7 @@ class JsonValue {
   std::string string_;
   std::shared_ptr<JsonArray> array_;
   std::shared_ptr<JsonObject> object_;
+  std::shared_ptr<std::vector<std::string>> keys_;
 };
 
 /// Parses one complete JSON document (leading/trailing whitespace allowed);

@@ -8,22 +8,6 @@ namespace accountnet::core {
 
 namespace {
 
-constexpr std::uint64_t kMaxSegmentEntriesWire = 100000;
-
-void encode_peer_list(wire::Writer& w, const std::vector<PeerId>& peers) {
-  w.varint(peers.size());
-  for (const auto& p : peers) encode_peer(w, p);
-}
-
-std::vector<PeerId> decode_peer_list(wire::Reader& r) {
-  const auto n = r.varint();
-  if (n > 100000) throw wire::DecodeError("peer list implausibly long");
-  std::vector<PeerId> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(decode_peer(r));
-  return out;
-}
-
 ChainDigest decode_chain(wire::Reader& r) {
   const Bytes b = r.raw(32);
   ChainDigest d;
@@ -198,8 +182,7 @@ Bytes SegmentData::encode_core() const {
   encode_peer(w, server);
   w.u64(start);
   w.raw(BytesView(base_chain.data(), base_chain.size()));
-  w.varint(entries.size());
-  for (const auto& e : entries) encode_entry(w, e);
+  encode_entries(w, entries);
   return std::move(w).take();
 }
 
@@ -210,10 +193,7 @@ SegmentData SegmentData::decode(BytesView data) {
   seg.server = decode_peer(r);
   seg.start = r.u64();
   seg.base_chain = decode_chain(r);
-  const auto n = r.varint();
-  if (n > kMaxSegmentEntriesWire) throw wire::DecodeError("segment implausibly long");
-  seg.entries.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) seg.entries.push_back(decode_entry(r));
+  seg.entries = decode_entries(r);
   seg.server_sig = r.bytes();
   r.expect_done();
   return seg;

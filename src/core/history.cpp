@@ -44,6 +44,11 @@ PeerId decode_peer(wire::Reader& r) {
 
 namespace {
 
+/// Decoder cap on every length-prefixed list (see history.hpp).
+constexpr std::uint64_t kMaxWireListLength = 100000;
+
+}  // namespace
+
 void encode_peer_list(wire::Writer& w, const std::vector<PeerId>& peers) {
   w.varint(peers.size());
   for (const auto& p : peers) encode_peer(w, p);
@@ -51,14 +56,26 @@ void encode_peer_list(wire::Writer& w, const std::vector<PeerId>& peers) {
 
 std::vector<PeerId> decode_peer_list(wire::Reader& r) {
   const auto n = r.varint();
-  if (n > 100000) throw wire::DecodeError("peer list implausibly long");
+  if (n > kMaxWireListLength) throw wire::DecodeError("peer list implausibly long");
   std::vector<PeerId> out;
   out.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(decode_peer(r));
   return out;
 }
 
-}  // namespace
+void encode_bytes_list(wire::Writer& w, const std::vector<Bytes>& list) {
+  w.varint(list.size());
+  for (const auto& b : list) w.bytes(b);
+}
+
+std::vector<Bytes> decode_bytes_list(wire::Reader& r) {
+  const auto n = r.varint();
+  if (n > kMaxWireListLength) throw wire::DecodeError("bytes list implausibly long");
+  std::vector<Bytes> out;
+  out.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(r.bytes());
+  return out;
+}
 
 void encode_entry(wire::Writer& w, const HistoryEntry& e) {
   w.u8(static_cast<std::uint8_t>(e.kind));
@@ -86,6 +103,20 @@ HistoryEntry decode_entry(wire::Reader& r) {
   e.in = decode_peer_list(r);
   e.fill = decode_peer_list(r);
   return e;
+}
+
+void encode_entries(wire::Writer& w, const std::vector<HistoryEntry>& entries) {
+  w.varint(entries.size());
+  for (const auto& e : entries) encode_entry(w, e);
+}
+
+std::vector<HistoryEntry> decode_entries(wire::Reader& r) {
+  const auto n = r.varint();
+  if (n > kMaxWireListLength) throw wire::DecodeError("entry list implausibly long");
+  std::vector<HistoryEntry> out;
+  out.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(decode_entry(r));
+  return out;
 }
 
 ChainDigest entry_digest(const HistoryEntry& e) {

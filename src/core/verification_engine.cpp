@@ -134,7 +134,6 @@ const char* VerificationEngine::name() const { return inner_.name(); }
 
 bool VerificationEngine::verify(const crypto::PublicKeyBytes& pk, BytesView msg,
                                 BytesView sig) const {
-  if (!config_.enable_cache) return inner_.verify(pk, msg, sig);
   const std::string key = sig_key(pk, msg, sig);
   if (const bool* hit = sig_cache_.find(key)) {
     ++stats_.sig_hits;
@@ -152,7 +151,6 @@ bool VerificationEngine::verify(const crypto::PublicKeyBytes& pk, BytesView msg,
 
 std::optional<std::array<std::uint8_t, 64>> VerificationEngine::vrf_verify(
     const crypto::PublicKeyBytes& pk, BytesView alpha, BytesView proof) const {
-  if (!config_.enable_cache) return inner_.vrf_verify(pk, alpha, proof);
   const std::string key = vrf_key(pk, alpha, proof);
   if (const VrfVerdict* hit = vrf_cache_.find(key)) {
     ++stats_.vrf_hits;
@@ -176,7 +174,7 @@ void VerificationEngine::resolve_misses(std::span<const crypto::VerifyJob> jobs,
                                         const std::vector<std::size_t>& miss,
                                         std::span<crypto::VerifyVerdict> verdicts) const {
   if (miss.empty()) return;
-  if (config_.enable_batch && miss.size() >= config_.batch_min) {
+  if (config_.enable_batch && miss.size() >= kBatchMin) {
     std::vector<crypto::VerifyJob> pending;
     pending.reserve(miss.size());
     for (const std::size_t idx : miss) pending.push_back(jobs[idx]);
@@ -201,55 +199,47 @@ void VerificationEngine::verify_batch(std::span<const crypto::VerifyJob> jobs,
                                       std::span<crypto::VerifyVerdict> verdicts) const {
   AN_ENSURE_MSG(jobs.size() == verdicts.size(), "verify_batch verdict slot mismatch");
   std::vector<std::size_t> miss;
-  std::vector<std::string> keys;
-  if (!config_.enable_cache) {
-    miss.resize(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) miss[i] = i;
-  } else {
-    keys.resize(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const auto& job = jobs[i];
-      const bool is_sig = job.kind == crypto::VerifyJob::Kind::kSignature;
-      keys[i] = is_sig ? sig_key(job.pk, job.msg, job.sig)
-                       : vrf_key(job.pk, job.msg, job.sig);
-      bool hit = false;
-      if (is_sig) {
-        if (const bool* cached = sig_cache_.find(keys[i])) {
-          verdicts[i].ok = *cached;
-          verdicts[i].vrf_output = {};
-          hit = true;
-        }
-      } else if (const VrfVerdict* cached = vrf_cache_.find(keys[i])) {
-        verdicts[i].ok = cached->ok;
-        verdicts[i].vrf_output = cached->ok ? cached->beta
-                                            : std::array<std::uint8_t, 64>{};
+  std::vector<std::string> keys(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto& job = jobs[i];
+    const bool is_sig = job.kind == crypto::VerifyJob::Kind::kSignature;
+    keys[i] = is_sig ? sig_key(job.pk, job.msg, job.sig)
+                     : vrf_key(job.pk, job.msg, job.sig);
+    bool hit = false;
+    if (is_sig) {
+      if (const bool* cached = sig_cache_.find(keys[i])) {
+        verdicts[i].ok = *cached;
+        verdicts[i].vrf_output = {};
         hit = true;
       }
-      if (hit) {
-        if (is_sig) ++stats_.sig_hits; else ++stats_.vrf_hits;
-        if (registry_ != nullptr) registry_->add(ids_.hit);
-      } else {
-        if (is_sig) ++stats_.sig_misses; else ++stats_.vrf_misses;
-        if (registry_ != nullptr) registry_->add(ids_.miss);
-        miss.push_back(i);
-      }
+    } else if (const VrfVerdict* cached = vrf_cache_.find(keys[i])) {
+      verdicts[i].ok = cached->ok;
+      verdicts[i].vrf_output = cached->ok ? cached->beta
+                                          : std::array<std::uint8_t, 64>{};
+      hit = true;
+    }
+    if (hit) {
+      if (is_sig) ++stats_.sig_hits; else ++stats_.vrf_hits;
+      if (registry_ != nullptr) registry_->add(ids_.hit);
+    } else {
+      if (is_sig) ++stats_.sig_misses; else ++stats_.vrf_misses;
+      if (registry_ != nullptr) registry_->add(ids_.miss);
+      miss.push_back(i);
     }
   }
   resolve_misses(jobs, miss, verdicts);
-  if (config_.enable_cache) {
-    for (const std::size_t idx : miss) {
-      if (jobs[idx].kind == crypto::VerifyJob::Kind::kSignature) {
-        sig_cache_.put(keys[idx], verdicts[idx].ok);
-      } else {
-        VrfVerdict v;
-        v.ok = verdicts[idx].ok;
-        v.beta = verdicts[idx].vrf_output;
-        vrf_cache_.put(keys[idx], v);
-      }
+  for (const std::size_t idx : miss) {
+    if (jobs[idx].kind == crypto::VerifyJob::Kind::kSignature) {
+      sig_cache_.put(keys[idx], verdicts[idx].ok);
+    } else {
+      VrfVerdict v;
+      v.ok = verdicts[idx].ok;
+      v.beta = verdicts[idx].vrf_output;
+      vrf_cache_.put(keys[idx], v);
     }
-    sync_evictions();
-    update_gauges();
   }
+  sync_evictions();
+  update_gauges();
 }
 
 VerifyResult VerificationEngine::verify_entries(const std::vector<HistoryEntry>& suffix,
@@ -298,12 +288,6 @@ VerifyResult VerificationEngine::verify_entries(const std::vector<HistoryEntry>&
 VerifyResult VerificationEngine::verify_history(const std::vector<HistoryEntry>& suffix,
                                                 const PeerId& owner,
                                                 const Peerset& claimed) {
-  if (!config_.enable_cache) {
-    ++stats_.history_full;
-    if (registry_ != nullptr) registry_->add(ids_.history_full);
-    return verify_entries(suffix, 0, std::nullopt, owner, Peerset{}, claimed);
-  }
-
   const std::size_t n = suffix.size();
   // Rolling chain digests: chain[k] commits to suffix[0..k). An exact or
   // prefix match against the memo proves the previously verified bytes are

@@ -1,6 +1,7 @@
 #include "accountnet/obs/span.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -8,6 +9,7 @@
 
 #include "accountnet/obs/sink.hpp"  // json_escape
 #include "accountnet/util/ensure.hpp"
+#include "accountnet/util/json.hpp"
 
 namespace accountnet::obs {
 
@@ -120,138 +122,60 @@ void write_spans_jsonl(const std::vector<Span>& spans, const std::string& path) 
 
 namespace {
 
-/// Minimal cursor parser for the exact object shape span_to_json_line
-/// produces (plus unknown scalar fields, skipped for forward compatibility).
-struct Cursor {
-  const char* p;
-  const char* end;
+// Field readers for parse_span_json_line: an absent field keeps its default,
+// a present one must have the type span_to_json_line writes.
 
-  void ws() {
-    while (p < end && (*p == ' ' || *p == '\t')) ++p;
-  }
-  bool expect(char c) {
-    ws();
-    if (p >= end || *p != c) return false;
-    ++p;
-    return true;
-  }
-  bool peek(char c) {
-    ws();
-    return p < end && *p == c;
-  }
-
-  bool parse_string(std::string& out) {
-    if (!expect('"')) return false;
-    out.clear();
-    while (p < end && *p != '"') {
-      char c = *p++;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (p >= end) return false;
-      const char esc = *p++;
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (end - p < 4) return false;
-          char hex[5] = {p[0], p[1], p[2], p[3], 0};
-          p += 4;
-          const unsigned long cp = std::strtoul(hex, nullptr, 16);
-          // The writer only emits \u for control bytes; anything wider is
-          // replaced rather than decoded into UTF-8.
-          out += cp < 0x100 ? static_cast<char>(cp) : '?';
-          break;
-        }
-        default: return false;
-      }
-    }
-    return expect('"');
-  }
-
-  bool parse_int(std::int64_t& out) {
-    ws();
-    char* after = nullptr;
-    out = std::strtoll(p, &after, 10);
-    if (after == p) return false;
-    p = after;
-    return true;
-  }
-
-  bool skip_value() {
-    ws();
-    if (peek('"')) {
-      std::string ignored;
-      return parse_string(ignored);
-    }
-    if (peek('{')) {  // flat object of string values only
-      if (!expect('{')) return false;
-      if (expect('}')) return true;
-      do {
-        std::string k;
-        if (!parse_string(k) || !expect(':') || !skip_value()) return false;
-      } while (expect(','));
-      return expect('}');
-    }
-    std::int64_t ignored = 0;
-    return parse_int(ignored);
-  }
-};
-
-bool parse_hex_id(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
+bool read_hex_id(const util::JsonValue* v, std::uint64_t& out) {
+  if (v == nullptr) return true;
+  if (!v->is_string() || v->as_string().empty()) return false;
+  const std::string& s = v->as_string();
   char* after = nullptr;
   out = std::strtoull(s.c_str(), &after, 16);
   return after == s.c_str() + s.size();
+}
+
+bool read_string(const util::JsonValue* v, std::string& out) {
+  if (v == nullptr) return true;
+  if (!v->is_string()) return false;
+  out = v->as_string();
+  return true;
+}
+
+/// µs stamps travel as JSON numbers (doubles): exact below 2^53, which
+/// simulated time never reaches.
+bool read_stamp(const util::JsonValue* v, std::int64_t& out) {
+  if (v == nullptr) return true;
+  if (!v->is_number()) return false;
+  const double d = v->as_number();
+  if (d != std::floor(d) || std::fabs(d) > 9007199254740992.0) return false;
+  out = static_cast<std::int64_t>(d);
+  return true;
 }
 
 }  // namespace
 
 bool parse_span_json_line(const std::string& line, Span& out) {
   out = Span{};
-  Cursor c{line.data(), line.data() + line.size()};
-  if (!c.expect('{')) return false;
-  if (c.expect('}')) return true;
-  do {
-    std::string key;
-    if (!c.parse_string(key) || !c.expect(':')) return false;
-    if (key == "trace" || key == "span" || key == "parent") {
-      std::string hex;
-      std::uint64_t id = 0;
-      if (!c.parse_string(hex) || !parse_hex_id(hex, id)) return false;
-      (key == "trace" ? out.trace_id : key == "span" ? out.span_id
-                                                     : out.parent_span) = id;
-    } else if (key == "name") {
-      if (!c.parse_string(out.name)) return false;
-    } else if (key == "node") {
-      if (!c.parse_string(out.node)) return false;
-    } else if (key == "start_us") {
-      if (!c.parse_int(out.start_us)) return false;
-    } else if (key == "end_us") {
-      if (!c.parse_int(out.end_us)) return false;
-    } else if (key == "attrs") {
-      if (!c.expect('{')) return false;
-      if (!c.expect('}')) {
-        do {
-          SpanAttr a;
-          if (!c.parse_string(a.key) || !c.expect(':') || !c.parse_string(a.value))
-            return false;
-          out.attrs.push_back(std::move(a));
-        } while (c.expect(','));
-        if (!c.expect('}')) return false;
-      }
-    } else {
-      if (!c.skip_value()) return false;  // unknown field: tolerate scalars
+  const auto doc = util::json_parse(line);
+  if (!doc || !doc->is_object()) return false;
+  if (!read_hex_id(doc->get("trace"), out.trace_id) ||
+      !read_hex_id(doc->get("span"), out.span_id) ||
+      !read_hex_id(doc->get("parent"), out.parent_span) ||
+      !read_string(doc->get("name"), out.name) ||
+      !read_string(doc->get("node"), out.node) ||
+      !read_stamp(doc->get("start_us"), out.start_us) ||
+      !read_stamp(doc->get("end_us"), out.end_us)) {
+    return false;
+  }
+  if (const util::JsonValue* attrs = doc->get("attrs")) {
+    if (!attrs->is_object()) return false;
+    for (const std::string& key : attrs->keys()) {  // written order
+      const util::JsonValue* value = attrs->get(key);
+      if (!value->is_string()) return false;
+      out.attrs.push_back({key, value->as_string()});
     }
-  } while (c.expect(','));
-  return c.expect('}') && out.span_id != 0;
+  }
+  return out.span_id != 0;
 }
 
 std::vector<Span> load_spans_jsonl(const std::string& path) {

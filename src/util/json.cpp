@@ -49,10 +49,11 @@ JsonValue JsonValue::make_array(JsonArray a) {
   return v;
 }
 
-JsonValue JsonValue::make_object(JsonObject o) {
+JsonValue JsonValue::make_object(JsonObject o, std::vector<std::string> keys) {
   JsonValue v;
   v.type_ = Type::kObject;
   v.object_ = std::make_shared<JsonObject>(std::move(o));
+  v.keys_ = std::make_shared<std::vector<std::string>>(std::move(keys));
   return v;
 }
 
@@ -184,9 +185,10 @@ struct Parser {
       case '{': {
         ++p;
         JsonObject obj;
+        std::vector<std::string> keys;
         skip_ws();
         if (eat('}')) {
-          out = JsonValue::make_object(std::move(obj));
+          out = JsonValue::make_object(std::move(obj), std::move(keys));
           return true;
         }
         do {
@@ -195,10 +197,12 @@ struct Parser {
           if (!eat(':')) return false;
           JsonValue v;
           if (!parse_value(v, depth + 1)) return false;
-          obj.insert_or_assign(std::move(key), std::move(v));
+          if (obj.insert_or_assign(key, std::move(v)).second) {
+            keys.push_back(std::move(key));
+          }
         } while (eat(','));
         if (!eat('}')) return false;
-        out = JsonValue::make_object(std::move(obj));
+        out = JsonValue::make_object(std::move(obj), std::move(keys));
         return true;
       }
       case '[': {

@@ -96,7 +96,7 @@ TEST(Node, SeedGetsPeersThroughResponding) {
 TEST(Node, RefusingNodeDoesNotBlockOthers) {
   NodeNet nn;
   auto nodes = nn.build(8, sim::seconds(5));
-  nodes[3]->behavior().refuse_shuffles = true;
+  nodes[3]->adversary().refuse_shuffles = true;
   nn.sim_.run_until(nn.sim_.now() + sim::seconds(60));
   std::uint64_t completed = 0;
   for (auto* n : nodes) completed += n->stats().shuffles_completed;
@@ -223,7 +223,7 @@ TEST(Node, MajorityOptDeliversDespiteMinorityCorruption) {
     if (corrupted >= bad) break;
     for (const auto& w : witnesses) {
       if (up->id().addr == w.addr) {
-        up->behavior().corrupt_relays = true;
+        up->adversary().tamper_relays = true;
         ++corrupted;
         break;
       }
@@ -261,7 +261,7 @@ TEST(Node, DroppedRelaysStallWithoutOptButMajorityOptDelivers) {
 
     // One witness silently drops everything.
     for (auto& up : nn->nodes_) {
-      if (up->id().addr == witnesses[0].addr) up->behavior().drop_relays = true;
+      if (up->id().addr == witnesses[0].addr) up->adversary().drop_relays = true;
     }
     bool delivered = false;
     consumer->set_delivery_callback(
@@ -301,7 +301,7 @@ TEST(Node, LyingWitnessTestimonyIsOutvotedAtResolution) {
     if (flipped >= bad) break;
     for (const auto& w : witnesses) {
       if (up->id().addr == w.addr) {
-        up->behavior().lie_in_testimony = true;
+        up->adversary().lie_in_testimony = true;
         ++flipped;
         break;
       }

@@ -137,11 +137,31 @@ inline std::string guard_byz_digest() {
   return guard_hex(crypto::Sha256::hash(bytes));
 }
 
-/// Miniature harness run with active bias_sample adversaries and full
+/// The pinned harness scenario's original contingent: bias_sample only.
+inline core::AdversaryPolicy guard_bias_policy() {
+  core::AdversaryPolicy policy;
+  policy.bias_sample = true;
+  return policy;
+}
+
+/// Every shuffle-facing attack at once, each rolled at 50% so the order of
+/// the attack-rate draws on the shared node Rng shows up in the digest.
+inline core::AdversaryPolicy guard_all_attacks_policy() {
+  core::AdversaryPolicy policy;
+  policy.bias_sample = true;
+  policy.forge_history = true;
+  policy.truncate_history = true;
+  policy.equivocate = true;
+  policy.attack_rate = 0.5;
+  return policy;
+}
+
+/// Miniature harness run with active `policy` adversaries and full
 /// verification (the NetworkSim detection path). `threads` selects the
 /// wave-parallel drive (0 = classic sequential loop); the digest must be
 /// identical for every value — that IS the parallel-determinism contract.
-inline std::string guard_harness_digest(std::size_t threads = 0) {
+inline std::string guard_harness_digest(const core::AdversaryPolicy& policy,
+                                        std::size_t threads = 0) {
   harness::ExperimentConfig c;
   c.network_size = 128;
   c.f = 5;
@@ -152,7 +172,7 @@ inline std::string guard_harness_digest(std::size_t threads = 0) {
   c.history_limit = 48;
   c.verify_fraction = 1.0;
   c.seed = 7;
-  c.adversary.bias_sample = true;
+  c.adversary = policy;
   c.threads = threads;
   harness::NetworkSim net(c);
   net.run(12, [](std::size_t) {});

@@ -29,7 +29,7 @@ TEST(SamplerBaseline, ByzSoakScenarioMatchesSeedBuild) {
 }
 
 TEST(SamplerBaseline, HarnessScenarioMatchesSeedBuild) {
-  EXPECT_EQ(guard_harness_digest(), kHarnessDigest);
+  EXPECT_EQ(guard_harness_digest(guard_bias_policy()), kHarnessDigest);
 }
 
 TEST(SamplerBaseline, Fig20ScenarioMatchesSeedBuild) {

@@ -18,10 +18,23 @@ constexpr const char* kHarnessDigest =
     "6ba00388ec5516306dc1eb49d01e1e7960c9b1c7bce8c9872f74e8b7ebb6c1b6";
 
 TEST(ParallelDeterminism, HarnessScenarioBitIdenticalAtEveryThreadCount) {
-  ASSERT_EQ(guard_harness_digest(0), kHarnessDigest);
+  const auto policy = guard_bias_policy();
+  ASSERT_EQ(guard_harness_digest(policy, 0), kHarnessDigest);
   for (const std::size_t t : kThreadGrid) {
-    EXPECT_EQ(guard_harness_digest(t), kHarnessDigest) << "threads " << t;
+    EXPECT_EQ(guard_harness_digest(policy, t), kHarnessDigest) << "threads " << t;
   }
+}
+
+// The same scenario with every shuffle-facing attack rolled at 50%, captured
+// before the offer mutations moved into core::apply_offer_attacks. Pins the
+// attack set and the order of the attack-rate draws on each node's Rng.
+constexpr const char* kAllAttacksDigest =
+    "d40dfbdc261fbbfaf35d4be1ad50d175320a8b9684c99164944ac1c5a84c05c5";
+
+TEST(ParallelDeterminism, AllAttacksHarnessScenarioPinned) {
+  const auto policy = guard_all_attacks_policy();
+  EXPECT_EQ(guard_harness_digest(policy, 0), kAllAttacksDigest);
+  EXPECT_EQ(guard_harness_digest(policy, 2), kAllAttacksDigest);
 }
 
 /// Stress scenario for the wave machinery's flush triggers: churn events

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "accountnet/util/json.hpp"
 
@@ -86,6 +87,17 @@ TEST(Json, DuplicateKeysLastWins) {
   const auto v = json_parse(R"({"a":1,"a":2})");
   ASSERT_TRUE(v.has_value());
   EXPECT_DOUBLE_EQ(v->get_number("a"), 2.0);
+}
+
+// keys() keeps document order (span attrs rely on it) while as_object()
+// stays name-sorted; a repeated key keeps its first position.
+TEST(Json, KeysKeepDocumentOrder) {
+  const auto v = json_parse(R"({"round":1,"partner":2,"outcome":3,"round":4})");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->keys(), (std::vector<std::string>{"round", "partner", "outcome"}));
+  EXPECT_EQ(v->as_object().begin()->first, "outcome");
+  EXPECT_DOUBLE_EQ(v->get_number("round"), 4.0);
+  EXPECT_TRUE(json_parse("{}")->keys().empty());
 }
 
 }  // namespace

@@ -40,6 +40,7 @@
 #include "accountnet/obs/timeseries.hpp"
 #include "accountnet/storage/node_store.hpp"
 #include "accountnet/storage/segment_store.hpp"
+#include "daemon_status.hpp"
 
 namespace {
 
@@ -116,42 +117,20 @@ bool parse(int argc, char** argv, Options& o) {
   return modes == 1;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string json_list(const std::vector<std::string>& v) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + json_escape(v[i]) + "\"";
-  }
-  return out + "]";
-}
-
 /// One status object, shared by the --status-file and the /status endpoint.
-/// `seq` increments with every housekeeping tick: a poller that sees it go
-/// backwards knows the daemon restarted; one that sees it stall knows the
-/// daemon is wedged (uptime_us gives the same signal in wall time).
 std::string status_json(const accountnet::core::Node& node, std::int64_t uptime_us,
                         std::uint64_t seq) {
-  char head[256];
-  std::snprintf(head, sizeof(head),
-                "{\"addr\":\"%s\",\"pid\":%ld,\"joined\":%s,\"round\":%llu,"
-                "\"peers\":%zu,\"uptime_us\":%lld,\"seq\":%llu,",
-                json_escape(node.id().addr).c_str(), static_cast<long>(::getpid()),
-                node.joined() ? "true" : "false",
-                static_cast<unsigned long long>(node.state().round()),
-                node.state().peerset().size(), static_cast<long long>(uptime_us),
-                static_cast<unsigned long long>(seq));
-  return std::string(head) +
-         "\"quarantined\":" + json_list(node.quarantined_addrs()) +
-         ",\"evicted\":" + json_list(node.evicted_addrs()) + "}";
+  accountnet::tools::DaemonStatus s;
+  s.addr = node.id().addr;
+  s.pid = static_cast<long>(::getpid());
+  s.joined = node.joined();
+  s.round = node.state().round();
+  s.peers = node.state().peerset().size();
+  s.uptime_us = uptime_us;
+  s.seq = seq;
+  s.quarantined = node.quarantined_addrs();
+  s.evicted = node.evicted_addrs();
+  return accountnet::tools::status_json(s);
 }
 
 /// Atomic replace: scripts polling the file never see a torn write.
