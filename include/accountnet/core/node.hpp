@@ -603,7 +603,16 @@ class Node {
   /// Applies a verified accusation: records the accuser, quarantines the
   /// accused, and flips to evicted at the accuser threshold.
   void accept_accusation(const Accusation& acc);
+  /// Sends `acc` to every current peerset member and keeps it as a verdict
+  /// for hand_over_verdicts.
   void gossip_accusation(const Accusation& acc, const std::string& skip_addr);
+  /// Sends `partner` every kept verdict it has not yet been handed. Runs
+  /// after each committed exchange: gossip reaches only the peerset of the
+  /// moment, and a node enters peersets only through its own shuffles, so a
+  /// fresh joiner would otherwise never hear a verdict reached before then.
+  void hand_over_verdicts(const PeerId& partner);
+  void send_accusation(const std::string& addr, const Bytes& payload,
+                       const std::string& digest_hex);
   /// Quarantine = local leave-record (no notice fanout; peers convict via
   /// the gossiped accusation themselves) + witness repair + traffic drop.
   void quarantine_peer(const PeerId& peer, const char* kind_tag);
@@ -752,6 +761,16 @@ class Node {
     std::shared_ptr<const ExchangeItem> item;
   };
   BoundedMap<std::string, SeenEntry> seen_entries_{kMaxSeenEntries};
+  /// Verdicts gossiped so far, oldest first (at most kMaxAccusations), as
+  /// (accused addr, encoded accusation, digest hex).
+  struct Verdict {
+    std::string accused;
+    Bytes payload;
+    std::string digest_hex;
+  };
+  std::vector<Verdict> verdicts_;
+  /// Partner addr → how many of verdicts_ it has been handed.
+  BoundedMap<std::string, std::size_t> verdicts_handed_{kMaxTrackedPartners};
   /// Outstanding accusation-gossip RPCs, keyed "digesthex#peer" so the ack
   /// (which echoes the digest) can cancel the matching retry.
   std::map<std::string, std::uint64_t> accusation_rpcs_;

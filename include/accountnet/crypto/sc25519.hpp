@@ -1,9 +1,11 @@
 // Scalar arithmetic modulo the edwards25519 group order
 // L = 2^252 + 27742317777372353535851937790883648493.
 //
-// Scalars are canonical 32-byte little-endian integers < L. Reduction uses a
-// small fixed-width big-integer with shift-subtract long division: trivially
-// auditable, and its cost is negligible next to scalar multiplication.
+// Scalars are canonical 32-byte little-endian integers < L. Reduction and
+// multiply-add work on signed 21-bit limbs and fold the limbs above 2^252
+// back with 2^252 = -(L - 2^252) (ref10's sc_reduce/sc_muladd schedule):
+// a fixed instruction sequence for every input, so secret nonces and keys
+// reduce in constant time.
 #pragma once
 
 #include <array>

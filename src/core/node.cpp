@@ -797,6 +797,7 @@ void Node::on_shuffle_offer(const sim::NetMessage& msg) {
   response_cache_.put(offer.initiator.addr, {offer.initiator_round, payload});
   span.attr("outcome", "committed");
   send(msg.from, MsgType::kShuffleResponse, payload);
+  if (acct()) hand_over_verdicts(offer.initiator);
 }
 
 void Node::on_shuffle_response(const sim::NetMessage& msg) {
@@ -863,6 +864,7 @@ void Node::on_shuffle_response(const sim::NetMessage& msg) {
   trace_end_outcome(pending_->span, "completed");
   pending_.reset();
   ++shuffle_epoch_;
+  if (acct()) hand_over_verdicts(resp.responder);
 }
 
 void Node::on_shuffle_reject(const sim::NetMessage& msg) {
@@ -1890,11 +1892,32 @@ void Node::gossip_accusation(const Accusation& acc, const std::string& skip_addr
   for (const auto& p : state_.peerset().sorted()) {
     if (p.addr == skip_addr || p.addr == acc.accused.addr) continue;
     if (quarantined_.contains(p.addr)) continue;
-    const std::uint64_t rpc =
-        send_rpc(p.addr, MsgType::kAccusation, payload, config_.query_retry);
-    if (rpc != 0) accusation_rpcs_[dig + "#" + p.addr] = rpc;
-    metrics_.add(metrics_.counter("acc.accuse.sent"));
+    send_accusation(p.addr, payload, dig);
   }
+  if (verdicts_.size() < kMaxAccusations) {
+    verdicts_.push_back({acc.accused.addr, payload, dig});
+  }
+}
+
+void Node::hand_over_verdicts(const PeerId& partner) {
+  if (verdicts_.empty()) return;
+  std::size_t& handed = verdicts_handed_.at_or_insert(partner.addr);
+  for (; handed < verdicts_.size(); ++handed) {
+    const Verdict& v = verdicts_[handed];
+    if (v.accused == partner.addr) continue;
+    // A peer that already has it (say, from the original gossip) acks and
+    // drops the duplicate.
+    send_accusation(partner.addr, v.payload, v.digest_hex);
+    metrics_.add(metrics_.counter("acc.accuse.handed_over"));
+  }
+}
+
+void Node::send_accusation(const std::string& addr, const Bytes& payload,
+                           const std::string& digest_hex) {
+  const std::uint64_t rpc =
+      send_rpc(addr, MsgType::kAccusation, payload, config_.query_retry);
+  if (rpc != 0) accusation_rpcs_[digest_hex + "#" + addr] = rpc;
+  metrics_.add(metrics_.counter("acc.accuse.sent"));
 }
 
 void Node::quarantine_peer(const PeerId& peer, const char* kind_tag) {

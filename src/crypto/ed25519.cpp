@@ -82,10 +82,11 @@ bool ed25519_verify(BytesView public_key32, BytesView msg, BytesView signature64
   h_k.update(msg);
   const Scalar k = Scalar::reduce(h_k.finish());
 
-  // Check S*B == R + k*A (equivalent to the cofactorless RFC equation).
-  const Ge25519 lhs = ge_scalar_mul_base(s.bytes());
-  const Ge25519 rhs = r->add(a->scalar_mul(k.bytes()));
-  return lhs == rhs;
+  // Check S*B - k*A == R (the cofactorless RFC equation S*B == R + k*A) with
+  // one variable-time double-scalar multiplication: all inputs are public.
+  const Ge25519 check =
+      Ge25519::double_scalar_mul_base_vartime(s.bytes(), k.bytes(), a->negate());
+  return check == *r;
 }
 
 }  // namespace accountnet::crypto

@@ -9,9 +9,6 @@ namespace accountnet::crypto {
 namespace {
 
 using u64 = std::uint64_t;
-using u128 = unsigned __int128;
-
-constexpr u64 kMask51 = (u64{1} << 51) - 1;
 
 }  // namespace
 
@@ -90,97 +87,39 @@ std::array<std::uint8_t, 32> Fe25519::to_bytes() const {
   return out;
 }
 
-Fe25519 Fe25519::operator+(const Fe25519& rhs) const {
-  Fe25519 r;
-  for (int i = 0; i < 5; ++i) r.limbs_[i] = limbs_[i] + rhs.limbs_[i];
-  r.carry();
+Fe25519 Fe25519::square_times(int n) const {
+  Fe25519 r = square();
+  for (int i = 1; i < n; ++i) r = r.square();
   return r;
 }
 
-Fe25519 Fe25519::operator-(const Fe25519& rhs) const {
-  // Add 2p (limb-wise) before subtracting so limbs never underflow.
-  static constexpr u64 kTwoP0 = 0xfffffffffffdaULL;   // 2*(2^51 - 19)
-  static constexpr u64 kTwoPi = 0xffffffffffffeULL;   // 2*(2^51 - 1)
-  Fe25519 r;
-  r.limbs_[0] = limbs_[0] + kTwoP0 - rhs.limbs_[0];
-  for (int i = 1; i < 5; ++i) r.limbs_[i] = limbs_[i] + kTwoPi - rhs.limbs_[i];
-  r.carry();
-  return r;
-}
-
-Fe25519 Fe25519::negate() const {
-  return zero() - *this;
-}
-
-Fe25519 Fe25519::operator*(const Fe25519& rhs) const {
-  const u64 f0 = limbs_[0], f1 = limbs_[1], f2 = limbs_[2], f3 = limbs_[3], f4 = limbs_[4];
-  const u64 g0 = rhs.limbs_[0], g1 = rhs.limbs_[1], g2 = rhs.limbs_[2], g3 = rhs.limbs_[3],
-            g4 = rhs.limbs_[4];
-  const u64 g1_19 = 19 * g1, g2_19 = 19 * g2, g3_19 = 19 * g3, g4_19 = 19 * g4;
-
-  u128 r0 = (u128)f0 * g0 + (u128)f1 * g4_19 + (u128)f2 * g3_19 + (u128)f3 * g2_19 + (u128)f4 * g1_19;
-  u128 r1 = (u128)f0 * g1 + (u128)f1 * g0 + (u128)f2 * g4_19 + (u128)f3 * g3_19 + (u128)f4 * g2_19;
-  u128 r2 = (u128)f0 * g2 + (u128)f1 * g1 + (u128)f2 * g0 + (u128)f3 * g4_19 + (u128)f4 * g3_19;
-  u128 r3 = (u128)f0 * g3 + (u128)f1 * g2 + (u128)f2 * g1 + (u128)f3 * g0 + (u128)f4 * g4_19;
-  u128 r4 = (u128)f0 * g4 + (u128)f1 * g3 + (u128)f2 * g2 + (u128)f3 * g1 + (u128)f4 * g0;
-
-  Fe25519 out;
-  u128 c;
-  c = r0 >> 51; r0 &= kMask51; r1 += c;
-  c = r1 >> 51; r1 &= kMask51; r2 += c;
-  c = r2 >> 51; r2 &= kMask51; r3 += c;
-  c = r3 >> 51; r3 &= kMask51; r4 += c;
-  c = r4 >> 51; r4 &= kMask51; r0 += 19 * c;
-  c = r0 >> 51; r0 &= kMask51; r1 += c;
-  out.limbs_[0] = static_cast<u64>(r0);
-  out.limbs_[1] = static_cast<u64>(r1);
-  out.limbs_[2] = static_cast<u64>(r2);
-  out.limbs_[3] = static_cast<u64>(r3);
-  out.limbs_[4] = static_cast<u64>(r4);
-  return out;
-}
-
-Fe25519 Fe25519::square() const {
-  return *this * *this;
-}
-
-Fe25519 Fe25519::pow(const std::uint8_t exponent_le[32]) const {
-  // Square-and-multiply, MSB first. Not constant-time; this library is a
-  // research artifact, not a hardened crypto implementation.
-  Fe25519 acc = one();
-  bool started = false;
-  for (int byte = 31; byte >= 0; --byte) {
-    for (int bit = 7; bit >= 0; --bit) {
-      if (started) acc = acc.square();
-      if ((exponent_le[byte] >> bit) & 1) {
-        if (started) {
-          acc = acc * *this;
-        } else {
-          acc = *this;
-          started = true;
-        }
-      }
-    }
-  }
-  return started ? acc : one();
+void Fe25519::pow_chain_250(Fe25519& z_250_0, Fe25519& z11) const {
+  // The ref10 chain; z_a_b names x^(2^a - 2^b).
+  const Fe25519 z2 = square();
+  const Fe25519 z9 = z2.square_times(2) * *this;
+  z11 = z9 * z2;
+  const Fe25519 z_5_0 = z11.square() * z9;
+  const Fe25519 z_10_0 = z_5_0.square_times(5) * z_5_0;
+  const Fe25519 z_20_0 = z_10_0.square_times(10) * z_10_0;
+  const Fe25519 z_40_0 = z_20_0.square_times(20) * z_20_0;
+  const Fe25519 z_50_0 = z_40_0.square_times(10) * z_10_0;
+  const Fe25519 z_100_0 = z_50_0.square_times(50) * z_50_0;
+  const Fe25519 z_200_0 = z_100_0.square_times(100) * z_100_0;
+  z_250_0 = z_200_0.square_times(50) * z_50_0;
 }
 
 Fe25519 Fe25519::invert() const {
-  // p - 2 = 2^255 - 21, little-endian bytes.
-  static constexpr std::uint8_t kPm2[32] = {
-      0xeb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f};
-  return pow(kPm2);
+  // p - 2 = (2^250 - 1) * 2^5 + 11.
+  Fe25519 z_250_0, z11;
+  pow_chain_250(z_250_0, z11);
+  return z_250_0.square_times(5) * z11;
 }
 
 Fe25519 Fe25519::pow22523() const {
-  // (p - 5) / 8 = 2^252 - 3, little-endian bytes.
-  static constexpr std::uint8_t kP58[32] = {
-      0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f};
-  return pow(kP58);
+  // (p - 5) / 8 = (2^250 - 1) * 2^2 + 1.
+  Fe25519 z_250_0, z11;
+  pow_chain_250(z_250_0, z11);
+  return z_250_0.square_times(2) * *this;
 }
 
 bool Fe25519::is_zero() const {

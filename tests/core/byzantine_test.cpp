@@ -53,6 +53,27 @@ struct ByzNet {
     return provider->make_signer(seed);
   }
 
+  /// A valid kInvalidOffer accusation of node `cheater_idx` by node
+  /// `accuser_idx`: an offer that fails static verification, body-signed
+  /// with the cheater's real key.
+  Accusation invalid_offer_accusation(std::size_t accuser_idx, std::size_t cheater_idx,
+                                      std::uint64_t round) const {
+    ShuffleOffer fake;
+    fake.initiator = nodes[cheater_idx]->id();
+    fake.initiator_round = round;
+    fake.initiator_round_sig = bytes_of("bogus");  // fails static verification
+    fake.body_sig = signer_for(cheater_idx)->sign(
+        offer_body_payload(fake.encode_core(), nodes[accuser_idx]->id()));
+
+    Accusation acc;
+    acc.kind = AccusationKind::kInvalidOffer;
+    acc.accused = nodes[cheater_idx]->id();
+    acc.accuser = nodes[accuser_idx]->id();
+    acc.items.push_back({1, fake.encode(), {}, nodes[accuser_idx]->id()});
+    acc.accuser_sig = signer_for(accuser_idx)->sign(acc.signing_payload());
+    return acc;
+  }
+
   bool is_adversary(std::size_t i) const {
     return std::find(adversaries.begin(), adversaries.end(), i) != adversaries.end();
   }
@@ -148,21 +169,7 @@ TEST(ByzantineTest, ThresholdEvictionNeedsDistinctAccusers) {
   Node& observer = *bn.nodes[12];
 
   auto crafted = [&](std::size_t accuser_idx, std::uint64_t round) {
-    Node& accuser = *bn.nodes[accuser_idx];
-    auto cheater_signer = bn.signer_for(7);
-    ShuffleOffer fake;
-    fake.initiator = cheater.id();
-    fake.initiator_round = round;
-    fake.initiator_round_sig = bytes_of("bogus");  // fails static verification
-    fake.body_sig = cheater_signer->sign(
-        offer_body_payload(fake.encode_core(), accuser.id()));
-
-    Accusation acc;
-    acc.kind = AccusationKind::kInvalidOffer;
-    acc.accused = cheater.id();
-    acc.accuser = accuser.id();
-    acc.items.push_back({1, fake.encode(), {}, accuser.id()});
-    acc.accuser_sig = bn.signer_for(accuser_idx)->sign(acc.signing_payload());
+    Accusation acc = bn.invalid_offer_accusation(accuser_idx, 7, round);
     EXPECT_TRUE(verify_accusation(acc, *bn.provider, bn.config.protocol));
     return acc;
   };
@@ -184,6 +191,27 @@ TEST(ByzantineTest, ThresholdEvictionNeedsDistinctAccusers) {
   const auto id = m.find("acc.evict.peers");
   ASSERT_TRUE(id.has_value());
   EXPECT_EQ(m.counter_value(*id), 1u);
+}
+
+TEST(ByzantineTest, LateJoinerIsHandedEarlierVerdicts) {
+  // Gossip reaches only the peersets of the moment, and a joiner enters
+  // peersets only through its own shuffles. A node that joins after a
+  // verdict must still learn it: its first exchange partners hand it over.
+  ByzNet bn;
+  const std::string cheater = bn.nodes[7]->id().addr;
+  const Accusation acc = bn.invalid_offer_accusation(3, 7, 41);
+  bn.net.send({bn.nodes[3]->id().addr, bn.nodes[12]->id().addr,
+               static_cast<std::uint32_t>(MsgType::kAccusation), acc.encode()});
+  bn.sim.run_until(bn.sim.now() + sim::seconds(10));
+  ASSERT_TRUE(bn.nodes[12]->is_quarantined(cheater));
+
+  Node late(bn.net, "z200", *bn.provider, testing::seed_from_name("late"), bn.config,
+            4242);
+  late.start_join(bn.nodes[0]->id().addr);
+  bn.sim.run_until(bn.sim.now() + sim::seconds(20));
+  ASSERT_TRUE(late.joined());
+  EXPECT_TRUE(late.is_quarantined(cheater));
+  EXPECT_GT(bn.total_counter("acc.accuse.handed_over"), 0u);
 }
 
 TEST(ByzantineTest, ForgedAccusationIsRejectedNetworkWide) {

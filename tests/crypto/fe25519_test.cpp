@@ -3,6 +3,7 @@
 
 #include "accountnet/crypto/fe25519.hpp"
 #include "accountnet/util/rng.hpp"
+#include "reference_arith.hpp"
 
 namespace accountnet::crypto {
 namespace {
@@ -89,12 +90,51 @@ TEST(Fe25519, NegateIsAdditiveInverse) {
   }
 }
 
-TEST(Fe25519, SquareMatchesSelfMultiply) {
-  Rng rng(107);
-  for (int i = 0; i < 100; ++i) {
-    const Fe25519 a = random_fe(rng);
-    EXPECT_EQ(a.square(), a * a);
+
+// Edge values plus sums and differences, whose limbs sit above 2^51 before
+// the next multiplication reduces them.
+std::vector<Fe25519> edge_and_random_fes(std::uint64_t seed, int randoms) {
+  std::vector<Fe25519> out = {
+      Fe25519::zero(), Fe25519::one(), Fe25519::one().negate(), Fe25519::from_u64(2),
+      Fe25519::from_bytes(Bytes(32, 0xff)), fe_sqrt_m1(), fe_edwards_d()};
+  Rng rng(seed);
+  for (int i = 0; i < randoms; ++i) {
+    const Fe25519 a = random_fe(rng), b = random_fe(rng), c = random_fe(rng);
+    out.push_back(a);
+    out.push_back(a + b + c);
+    out.push_back(a - b - c);
   }
+  return out;
+}
+
+TEST(Fe25519, SquareMatchesSelfMultiply) {
+  for (const auto& x : edge_and_random_fes(107, 40)) {
+    EXPECT_EQ(x.square(), x * x);
+    EXPECT_EQ((x + x).square(), (x + x) * (x + x));
+  }
+}
+
+TEST(Fe25519, InvertMatchesSquareAndMultiply) {
+  for (const auto& x : edge_and_random_fes(111, 12)) {
+    EXPECT_EQ(x.invert(), reference::invert(x));
+  }
+  EXPECT_TRUE(reference::invert(Fe25519::zero()).is_zero());
+}
+
+TEST(Fe25519, Pow22523MatchesSquareAndMultiply) {
+  for (const auto& x : edge_and_random_fes(112, 12)) {
+    EXPECT_EQ(x.pow22523(), reference::pow22523(x));
+  }
+}
+
+TEST(Fe25519, CmovTakesSourceOnlyWhenFlagSet) {
+  Rng rng(113);
+  const Fe25519 a = random_fe(rng), b = random_fe(rng);
+  Fe25519 x = a;
+  x.cmov(b, 0);
+  EXPECT_EQ(x, a);
+  x.cmov(b, 1);
+  EXPECT_EQ(x, b);
 }
 
 TEST(Fe25519, InverseProperty) {

@@ -3,6 +3,7 @@
 
 #include "accountnet/crypto/ge25519.hpp"
 #include "accountnet/util/rng.hpp"
+#include "reference_arith.hpp"
 
 namespace accountnet::crypto {
 namespace {
@@ -143,6 +144,106 @@ TEST(Ge25519, ScalarMulByZeroAndOne) {
   const auto& b = Ge25519::base_point();
   EXPECT_TRUE(b.scalar_mul(scalar_of(0)).is_identity());
   EXPECT_EQ(b.scalar_mul(scalar_of(1)), b);
+}
+
+using Scalar32 = std::array<std::uint8_t, 32>;
+
+Scalar32 scalar_from_hex(const char* hex) {
+  const auto b = from_hex(hex);
+  Scalar32 s{};
+  std::copy(b.begin(), b.end(), s.begin());
+  return s;
+}
+
+Scalar32 filled(std::uint8_t v) {
+  Scalar32 s;
+  s.fill(v);
+  return s;
+}
+
+// 0, 1, 8, L - 1, L, all-0x88 bytes (every signed radix-16 digit carries),
+// all-0xff (top bit set), 2^255, then full-width 256-bit random scalars.
+std::vector<Scalar32> edge_and_random_scalars(std::uint64_t seed, int randoms) {
+  std::vector<Scalar32> out = {
+      scalar_of(0),
+      scalar_of(1),
+      scalar_of(8),
+      scalar_from_hex("ecd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010"),
+      scalar_from_hex("edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010"),
+      filled(0x88),
+      filled(0xff),
+      scalar_from_hex("0000000000000000000000000000000000000000000000000000000000000080")};
+  Rng rng(seed);
+  for (int i = 0; i < randoms; ++i) {
+    Scalar32 s;
+    for (auto& b : s) b = static_cast<std::uint8_t>(rng.next_u64());
+    out.push_back(s);
+  }
+  return out;
+}
+
+// The order-2 point T2 = (0, -1).
+Ge25519 order_two_point() {
+  const auto t2 = Ge25519::from_bytes(
+      from_hex("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"));
+  EXPECT_TRUE(t2.has_value());
+  return *t2;
+}
+
+TEST(Ge25519, FixedBaseMatchesGenericScalarMul) {
+  for (const auto& s : edge_and_random_scalars(203, 40)) {
+    EXPECT_EQ(ge_scalar_mul_base(s), Ge25519::base_point().scalar_mul(s)) << to_hex(s);
+  }
+}
+
+TEST(Ge25519, ScalarMulMatchesDoubleAndAdd) {
+  const auto p = Ge25519::base_point().scalar_mul(scalar_of(0xfeedbeef));
+  for (const auto& s : edge_and_random_scalars(204, 10)) {
+    EXPECT_EQ(p.scalar_mul(s), reference::scalar_mul(p, s)) << to_hex(s);
+    EXPECT_EQ(ge_scalar_mul_base(s), reference::scalar_mul(Ge25519::base_point(), s))
+        << to_hex(s);
+  }
+}
+
+TEST(Ge25519, ScalarMulKeepsTorsionComponent) {
+  // scalar_mul must not reduce mod L: on P + T2 an odd scalar keeps T2 and an
+  // even one drops it, so L * (P + T2) = T2, not the identity.
+  const Ge25519 t2 = order_two_point();
+  ASSERT_FALSE(t2.is_identity());
+  ASSERT_TRUE(t2.dbl().is_identity());
+  const Ge25519 p = Ge25519::base_point().scalar_mul(scalar_of(987654321));
+  const Ge25519 mixed = p.add(t2);
+  for (const auto& s : edge_and_random_scalars(205, 20)) {
+    const bool odd = (s[0] & 1) != 0;
+    const Ge25519 expected = odd ? p.scalar_mul(s).add(t2) : p.scalar_mul(s);
+    EXPECT_EQ(mixed.scalar_mul(s), expected) << to_hex(s);
+    EXPECT_EQ(t2.scalar_mul(s), odd ? t2 : Ge25519::identity()) << to_hex(s);
+  }
+  const auto order =
+      scalar_from_hex("edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010");
+  EXPECT_EQ(mixed.scalar_mul(order), t2);
+}
+
+TEST(Ge25519, DoubleScalarMulMatchesSeparateMultiplications) {
+  const Ge25519& b = Ge25519::base_point();
+  const Ge25519 p = b.scalar_mul(scalar_of(31337));
+  const Ge25519 q = b.scalar_mul(scalar_of(271828)).add(order_two_point());
+  const auto scalars = edge_and_random_scalars(206, 12);
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    const auto& a = scalars[i];
+    const auto& c = scalars[(i * 7 + 3) % scalars.size()];
+    SCOPED_TRACE(to_hex(a) + " " + to_hex(c));
+    EXPECT_EQ(Ge25519::double_scalar_mul_base_vartime(a, c, q),
+              b.scalar_mul(a).add(q.scalar_mul(c)));
+    EXPECT_EQ(Ge25519::double_scalar_mul_vartime(a, b, c, q),
+              b.scalar_mul(a).add(q.scalar_mul(c)));
+    EXPECT_EQ(Ge25519::double_scalar_mul_vartime(a, p, c, q.negate()),
+              p.scalar_mul(a).sub(q.scalar_mul(c)));
+  }
+  EXPECT_TRUE(
+      Ge25519::double_scalar_mul_vartime(scalar_of(0), b, scalar_of(0), p).is_identity());
+  EXPECT_TRUE(Ge25519::double_scalar_mul_base_vartime(scalar_of(0), scalar_of(0), p)
+                  .is_identity());
 }
 
 }  // namespace

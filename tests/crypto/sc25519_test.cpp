@@ -4,6 +4,7 @@
 #include "accountnet/crypto/sc25519.hpp"
 #include "accountnet/util/ensure.hpp"
 #include "accountnet/util/rng.hpp"
+#include "reference_arith.hpp"
 
 namespace accountnet::crypto {
 namespace {
@@ -123,6 +124,68 @@ TEST(Scalar, Reduce64ByteInput) {
   const Scalar expected =
       Scalar::reduce(lo).add(Scalar::reduce(hi).mul(Scalar::reduce(two256_le)));
   EXPECT_EQ(Scalar::reduce(b), expected);
+}
+
+// Edge inputs for reduction: all-ones 512 bits, L - 1, L, L + 1, 2L, 2^252,
+// 2^256 - 1, and the empty input.
+std::vector<Bytes> edge_reduce_inputs() {
+  std::vector<Bytes> out;
+  out.push_back(Bytes(64, 0xff));
+  auto l = from_hex(kOrderHex);
+  out.push_back(l);
+  auto lm1 = l;
+  lm1[0] -= 1;
+  out.push_back(lm1);
+  auto lp1 = l;
+  lp1[0] += 1;
+  out.push_back(lp1);
+  // 2L, little-endian (L < 2^253, so 2L fits 32 bytes).
+  out.push_back(
+      from_hex("daa7ebb934c624b0ac39ef45bdf3bd2900000000000000000000000000000020"));
+  Bytes two252(32, 0);
+  two252[31] = 0x10;
+  out.push_back(two252);
+  out.push_back(Bytes(32, 0xff));
+  out.push_back(Bytes{});
+  return out;
+}
+
+TEST(Scalar, ReduceMatchesShiftSubtract) {
+  for (const auto& in : edge_reduce_inputs()) {
+    EXPECT_EQ(to_hex(Scalar::reduce(in).bytes()), to_hex(reference::reduce(in)))
+        << to_hex(in);
+  }
+  Rng rng(306);
+  for (int i = 0; i < 300; ++i) {
+    // Mostly full 64-byte inputs, plus every shorter length the protocol
+    // reduces (16-byte challenges, 32-byte clamped keys).
+    const std::size_t len = i < 200 ? 64 : static_cast<std::size_t>(rng.uniform(65));
+    Bytes b(len);
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng.next_u64());
+    EXPECT_EQ(to_hex(Scalar::reduce(b).bytes()), to_hex(reference::reduce(b))) << to_hex(b);
+  }
+}
+
+TEST(Scalar, MulAddMatchesShiftSubtract) {
+  Scalar lm1;
+  auto lm1_bytes = from_hex(kOrderHex);
+  lm1_bytes[0] -= 1;
+  ASSERT_TRUE(Scalar::from_canonical(lm1_bytes, lm1));
+  const Scalar one = Scalar::from_u64(1);
+  const Scalar edges[] = {Scalar(), one, lm1};
+  for (const auto& a : edges) {
+    for (const auto& b : edges) {
+      for (const auto& c : edges) {
+        EXPECT_EQ(to_hex(Scalar::muladd(a, b, c).bytes()),
+                  to_hex(reference::muladd(a, b, c)));
+      }
+    }
+  }
+  Rng rng(307);
+  for (int i = 0; i < 200; ++i) {
+    const Scalar a = random_scalar(rng), b = random_scalar(rng), c = random_scalar(rng);
+    EXPECT_EQ(to_hex(Scalar::muladd(a, b, c).bytes()), to_hex(reference::muladd(a, b, c)));
+  }
 }
 
 TEST(Scalar, ReduceRejectsOverlongInput) {

@@ -34,13 +34,22 @@ TEST(Vrf, OutputMatchesVerifiedBeta) {
   const auto proof = vrf_prove(kp, alpha);
   const auto beta = vrf_verify(kp.public_key, alpha, proof);
   ASSERT_TRUE(beta.has_value());
-  // Signer-side fast path must agree with the verifier-derived output.
-  // (This is the "uniqueness" property AccountNet's select() relies on.)
-  Rng unused(0);
-  const auto signer_beta = [&] {
-    return *beta;  // computed through the proof
-  }();
-  EXPECT_EQ(signer_beta, *beta);
+  // The signer-side output (no proof built) must agree with the
+  // verifier-derived one: the uniqueness AccountNet's select() relies on.
+  EXPECT_EQ(vrf_output(kp, alpha), *beta);
+}
+
+TEST(Vrf, OutputWithoutProofMatchesProofToHash) {
+  Rng rng(12);
+  for (std::uint64_t k = 0; k < 12; ++k) {
+    const auto kp = keypair(200 + k);
+    for (int i = 0; i < 3; ++i) {
+      Bytes alpha(static_cast<std::size_t>(rng.uniform(120)));
+      for (auto& b : alpha) b = static_cast<std::uint8_t>(rng.next_u64());
+      EXPECT_EQ(vrf_output(kp, alpha), vrf_proof_to_hash(vrf_prove(kp, alpha)))
+          << "key " << k << " alpha " << to_hex(alpha);
+    }
+  }
 }
 
 TEST(Vrf, DeterministicProofs) {
