@@ -75,6 +75,16 @@ void BM_VrfProve(benchmark::State& state) {
 }
 BENCHMARK(BM_VrfProve);
 
+// One draw attempt: the proof and its output from one evaluation.
+void BM_VrfEvaluate(benchmark::State& state) {
+  const auto kp = ed25519_keypair_from_seed(make_payload(32));
+  const Bytes alpha = make_payload(40);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vrf_evaluate(kp, alpha));
+  }
+}
+BENCHMARK(BM_VrfEvaluate);
+
 void BM_VrfVerify(benchmark::State& state) {
   const auto kp = ed25519_keypair_from_seed(make_payload(32));
   const Bytes alpha = make_payload(40);

@@ -9,6 +9,8 @@
 
 #include <array>
 #include <optional>
+#include <span>
+#include <utility>
 
 #include "accountnet/crypto/fe25519.hpp"
 #include "accountnet/util/bytes.hpp"
@@ -29,6 +31,13 @@ class Ge25519 {
   /// Canonical 32-byte compressed encoding.
   std::array<std::uint8_t, 32> to_bytes() const;
 
+  /// Canonical encodings of several points for one field inversion
+  /// (Montgomery's trick: invert the product of the Z coordinates, then peel
+  /// each 1/Z off it with three multiplications). out[i] ==
+  /// points[i].to_bytes(); the sizes must match.
+  static void to_bytes_batch(std::span<const Ge25519> points,
+                             std::span<std::array<std::uint8_t, 32>> out);
+
   Ge25519 add(const Ge25519& rhs) const;
   Ge25519 dbl() const;
   Ge25519 negate() const;
@@ -39,6 +48,16 @@ class Ge25519 {
   /// wire). Constant time in the scalar: 65 signed radix-16 digits, each
   /// selecting one of 8 cached multiples of P by cmov.
   Ge25519 scalar_mul(const std::array<std::uint8_t, 32>& scalar_le) const;
+
+  /// {a * P, b * P}: two scalar_mul() chains over one table of P's multiples.
+  /// Constant time in both scalars.
+  std::pair<Ge25519, Ge25519> scalar_mul_pair(const std::array<std::uint8_t, 32>& a,
+                                              const std::array<std::uint8_t, 32>& b) const;
+
+  /// scalar * P in VARIABLE time: public scalars only. Width-5 sliding-window
+  /// digits; the doubling chain starts at the top nonzero digit, so a scalar
+  /// below 2^128 (an ECVRF challenge) costs about 128 doublings.
+  Ge25519 scalar_mul_vartime(const std::array<std::uint8_t, 32>& scalar_le) const;
 
   /// a * P + b * Q for any 32-byte little-endian a and b, in VARIABLE time:
   /// public scalars only (verification). Strauss' method over width-5

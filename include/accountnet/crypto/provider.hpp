@@ -49,6 +49,12 @@ struct VerifyVerdict {
   std::array<std::uint8_t, 64> vrf_output{};
 };
 
+/// A VRF proof together with the output beta it proves.
+struct VrfProofAndOutput {
+  Bytes proof;
+  std::array<std::uint8_t, 64> output{};
+};
+
 /// Per-node secret-key operations.
 class Signer {
  public:
@@ -64,6 +70,13 @@ class Signer {
 
   /// VRF output (beta) for alpha; equals the hash verified from the proof.
   virtual std::array<std::uint8_t, 64> vrf_output(BytesView alpha) const = 0;
+
+  /// {vrf_prove(alpha), vrf_output(alpha)}: what every draw attempt needs.
+  /// The default makes the two calls; backends override it to share the
+  /// work.
+  virtual VrfProofAndOutput vrf_evaluate(BytesView alpha) const {
+    return {vrf_prove(alpha), vrf_output(alpha)};
+  }
 };
 
 /// Public-key operations plus signer construction.

@@ -4,8 +4,10 @@
 //
 //   crypto.keygen      make_signer (seed -> key derivation)
 //   crypto.sign        Signer::sign
-//   crypto.vrf_prove   Signer::vrf_prove
-//   crypto.vrf_output  Signer::vrf_output
+//   crypto.vrf_prove   Signer::vrf_prove and Signer::vrf_evaluate (one
+//                      evaluation is one proof, counted once)
+//   crypto.vrf_output  Signer::vrf_output (a bare output; the draw loops no
+//                      longer make this call)
 //   crypto.verify      CryptoProvider::verify
 //   crypto.vrf_verify  CryptoProvider::vrf_verify
 //

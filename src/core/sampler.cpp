@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "accountnet/util/ensure.hpp"
 
@@ -111,8 +112,8 @@ class PeerSwapSampler final : public SamplerBackend {
     const std::string dom = prefixed(domain);
     for (std::size_t i = 0; i < target; ++i) {
       const Bytes alpha = draw_alpha(dom, nonce, static_cast<std::uint64_t>(i) + 1);
-      const auto beta = signer.vrf_output(alpha);
-      d.proofs.push_back(signer.vrf_prove(alpha));
+      auto [proof, beta] = signer.vrf_evaluate(alpha);
+      d.proofs.push_back(std::move(proof));
       const std::size_t j =
           i + static_cast<std::size_t>(fold64(BytesView(beta.data(), beta.size())) %
                                        static_cast<std::uint64_t>(n - i));
@@ -212,8 +213,8 @@ class HoneybeeSampler final : public SamplerBackend {
     for (std::uint64_t step = 1;
          d.sample.size() < target && step <= capabilities().max_proofs; ++step) {
       const Bytes alpha = draw_alpha(dom, nonce, step);
-      const auto beta = signer.vrf_output(alpha);
-      d.proofs.push_back(signer.vrf_prove(alpha));
+      auto [proof, beta] = signer.vrf_evaluate(alpha);
+      d.proofs.push_back(std::move(proof));
       pos = advance(pos, n, fold64(BytesView(beta.data(), beta.size())));
       ++since_pick;
       if (since_pick >= kMixSteps) {

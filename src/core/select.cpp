@@ -1,6 +1,7 @@
 #include "accountnet/core/select.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "accountnet/util/ensure.hpp"
 #include "accountnet/wire/codec.hpp"
@@ -42,8 +43,8 @@ Draw draw_sample(const crypto::Signer& signer, const Peerset& candidates,
   if (target == 0) return draw;
   for (std::uint64_t attempt = 1; attempt <= kMaxDrawAttempts; ++attempt) {
     const Bytes alpha = draw_alpha(domain, nonce, attempt);
-    const auto beta = signer.vrf_output(alpha);
-    draw.proofs.push_back(signer.vrf_prove(alpha));
+    auto [proof, beta] = signer.vrf_evaluate(alpha);
+    draw.proofs.push_back(std::move(proof));
     const auto idx = select_index(candidates.size(), BytesView(beta.data(), beta.size()));
     if (!idx) continue;  // Null
     const PeerId& picked = candidates.at(*idx);

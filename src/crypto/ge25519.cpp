@@ -1,6 +1,8 @@
 #include "accountnet/crypto/ge25519.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "accountnet/util/ensure.hpp"
 
@@ -286,13 +288,36 @@ std::optional<Ge25519> Ge25519::from_bytes(BytesView b32) {
   return Ge25519(x, y, Fe25519::one(), x * y);
 }
 
-std::array<std::uint8_t, 32> Ge25519::to_bytes() const {
-  const Fe25519 zinv = z_.invert();
-  const Fe25519 x = x_ * zinv;
-  const Fe25519 y = y_ * zinv;
+namespace {
+
+// RFC 8032 §5.1.2: y's encoding with x's sign in the top bit.
+std::array<std::uint8_t, 32> encode_affine(const Fe25519& x, const Fe25519& y) {
   auto out = y.to_bytes();
   if (x.is_negative()) out[31] |= 0x80;
   return out;
+}
+
+}  // namespace
+
+std::array<std::uint8_t, 32> Ge25519::to_bytes() const {
+  const Fe25519 zinv = z_.invert();
+  return encode_affine(x_ * zinv, y_ * zinv);
+}
+
+void Ge25519::to_bytes_batch(std::span<const Ge25519> points,
+                             std::span<std::array<std::uint8_t, 32>> out) {
+  AN_ENSURE_MSG(points.size() == out.size(), "to_bytes_batch size mismatch");
+  if (points.empty()) return;
+  // prefix[i] = Z_0 * ... * Z_i; Z is never zero for a point.
+  std::vector<Fe25519> prefix(points.size());
+  prefix[0] = points[0].z_;
+  for (std::size_t i = 1; i < points.size(); ++i) prefix[i] = prefix[i - 1] * points[i].z_;
+  Fe25519 inv = prefix.back().invert();  // 1 / (Z_0 * ... * Z_i), i walking down
+  for (std::size_t i = points.size(); i-- > 0;) {
+    const Fe25519 zinv = i == 0 ? inv : inv * prefix[i - 1];
+    if (i > 0) inv = inv * points[i].z_;
+    out[i] = encode_affine(points[i].x_ * zinv, points[i].y_ * zinv);
+  }
 }
 
 Ge25519 Ge25519::add(const Ge25519& rhs) const {
@@ -307,19 +332,25 @@ Ge25519 Ge25519::negate() const {
   return Ge25519(x_.negate(), y_, z_, t_.negate());
 }
 
-Ge25519 Ge25519::scalar_mul(const Scalar32& scalar_le) const {
-  std::array<GeCached, 8> multiples;  // (j + 1) * P
-  multiples[0] = F::to_cached(*this);
-  Ge25519 m = *this;
+namespace {
+
+// (j + 1) * P for j = 0..7: the operands of a signed radix-16 chain.
+std::array<GeCached, 8> radix16_multiples(const Ge25519& p) {
+  std::array<GeCached, 8> multiples;
+  multiples[0] = F::to_cached(p);
+  Ge25519 m = p;
   for (std::size_t j = 1; j < 8; ++j) {
     m = F::to_p3(F::add(m, multiples[0]));
     multiples[j] = F::to_cached(m);
   }
+  return multiples;
+}
 
-  // h = 16 h + e[i] P from the top digit down; between steps h stays in
-  // completed form, since a doubling needs no T coordinate.
+// h = 16 h + e[i] P from the top digit down; between steps h stays in
+// completed form, since a doubling needs no T coordinate.
+Ge25519 radix16_mul(const std::array<GeCached, 8>& multiples, const Scalar32& scalar_le) {
   const auto e = radix16(scalar_le);
-  GeP1P1 h = F::add(identity(), ct_select(multiples, e[64]));
+  GeP1P1 h = F::add(Ge25519::identity(), ct_select(multiples, e[64]));
   for (int i = 63; i >= 0; --i) {
     for (int k = 0; k < 4; ++k) h = F::dbl(F::to_p2(h));
     h = F::add(F::to_p3(h), ct_select(multiples, e[static_cast<std::size_t>(i)]));
@@ -327,10 +358,38 @@ Ge25519 Ge25519::scalar_mul(const Scalar32& scalar_le) const {
   return F::to_p3(h);
 }
 
+}  // namespace
+
+Ge25519 Ge25519::scalar_mul(const Scalar32& scalar_le) const {
+  return radix16_mul(radix16_multiples(*this), scalar_le);
+}
+
+std::pair<Ge25519, Ge25519> Ge25519::scalar_mul_pair(const Scalar32& a,
+                                                     const Scalar32& b) const {
+  const auto multiples = radix16_multiples(*this);
+  return {radix16_mul(multiples, a), radix16_mul(multiples, b)};
+}
+
 namespace {
 
 GeP1P1 add_multiple(const Ge25519& u, const GeCached& m) { return F::add(u, m); }
 GeP1P1 add_multiple(const Ge25519& u, const GePrecomp& m) { return F::madd(u, m); }
+
+// t += digit * P for a sliding-window digit (zero or odd) and
+// odd = P, 3P, 5P, ... covering it.
+template <class Multiple, std::size_t N>
+void add_digit(GeP1P1& t, int digit, const std::array<Multiple, N>& odd) {
+  if (digit == 0) return;
+  const auto idx = static_cast<std::size_t>(digit > 0 ? digit : -digit) / 2;
+  t = add_multiple(F::to_p3(t), digit > 0 ? odd[idx] : odd[idx].negate());
+}
+
+// Index of the highest nonzero digit; -1 if every digit is zero.
+int top_digit(const std::array<std::int8_t, 257>& d) {
+  int top = 256;
+  while (top >= 0 && d[static_cast<std::size_t>(top)] == 0) --top;
+  return top;
+}
 
 // a * P + b * Q by Strauss' method: one doubling chain, and each nonzero
 // digit adds the matching odd multiple. `da` holds a's sliding-window digits
@@ -341,28 +400,15 @@ Ge25519 strauss_vartime(const std::array<std::int8_t, 257>& da,
                         const Ge25519& q) {
   const auto db = slide(b, 5);
   const auto q_odd = F::odd_multiples(q);
-
-  int top = 256;
-  while (top >= 0 && da[static_cast<std::size_t>(top)] == 0 &&
-         db[static_cast<std::size_t>(top)] == 0) {
-    --top;
-  }
+  const int top = std::max(top_digit(da), top_digit(db));
   if (top < 0) return Ge25519::identity();
 
   GeP2 acc{Fe25519::zero(), Fe25519::one(), Fe25519::one()};
   GeP1P1 t;
   for (int i = top; i >= 0; --i) {
     t = F::dbl(acc);
-    const int ai = da[static_cast<std::size_t>(i)];
-    if (ai != 0) {
-      const auto idx = static_cast<std::size_t>(ai > 0 ? ai : -ai) / 2;
-      t = add_multiple(F::to_p3(t), ai > 0 ? p_odd[idx] : p_odd[idx].negate());
-    }
-    const int bi = db[static_cast<std::size_t>(i)];
-    if (bi != 0) {
-      const auto idx = static_cast<std::size_t>(bi > 0 ? bi : -bi) / 2;
-      t = add_multiple(F::to_p3(t), bi > 0 ? q_odd[idx] : q_odd[idx].negate());
-    }
+    add_digit(t, da[static_cast<std::size_t>(i)], p_odd);
+    add_digit(t, db[static_cast<std::size_t>(i)], q_odd);
     acc = F::to_p2(t);
   }
   return F::to_p3(t);
@@ -378,6 +424,21 @@ Ge25519 Ge25519::double_scalar_mul_vartime(const Scalar32& a, const Ge25519& p,
 Ge25519 Ge25519::double_scalar_mul_base_vartime(const Scalar32& a, const Scalar32& b,
                                                 const Ge25519& q) {
   return strauss_vartime(slide(a, 7), base_odd_multiples(), b, q);
+}
+
+Ge25519 Ge25519::scalar_mul_vartime(const Scalar32& scalar_le) const {
+  const auto d = slide(scalar_le, 5);
+  const int top = top_digit(d);
+  if (top < 0) return identity();
+  const auto odd = F::odd_multiples(*this);
+  GeP2 acc{Fe25519::zero(), Fe25519::one(), Fe25519::one()};
+  GeP1P1 t;
+  for (int i = top; i >= 0; --i) {
+    t = F::dbl(acc);
+    add_digit(t, d[static_cast<std::size_t>(i)], odd);
+    acc = F::to_p2(t);
+  }
+  return F::to_p3(t);
 }
 
 Ge25519 Ge25519::mul_by_cofactor() const {

@@ -60,6 +60,11 @@ class RealSigner final : public Signer {
     return crypto::vrf_output(kp_, alpha);
   }
 
+  VrfProofAndOutput vrf_evaluate(BytesView alpha) const override {
+    const auto e = crypto::vrf_evaluate(kp_, alpha);
+    return {Bytes(e.proof.begin(), e.proof.end()), e.output};
+  }
+
  private:
   Ed25519KeyPair kp_;
 };
@@ -125,6 +130,11 @@ class FastSigner final : public Signer {
 
   std::array<std::uint8_t, 64> vrf_output(BytesView alpha) const override {
     return fast_vrf_output(pk_, alpha);
+  }
+
+  VrfProofAndOutput vrf_evaluate(BytesView alpha) const override {
+    const auto out = fast_vrf_output(pk_, alpha);
+    return {Bytes(out.begin(), out.end()), out};
   }
 
  private:

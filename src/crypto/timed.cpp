@@ -62,6 +62,13 @@ class TimedSigner final : public Signer {
     return inner_->vrf_output(alpha);
   }
 
+  // One evaluation is one proof: it counts and times as a vrf_prove call.
+  VrfProofAndOutput vrf_evaluate(BytesView alpha) const override {
+    registry_.add(ids_.vrf_prove_calls);
+    obs::ScopedTimer t(&registry_, ids_.vrf_prove);
+    return inner_->vrf_evaluate(alpha);
+  }
+
  private:
   std::unique_ptr<Signer> inner_;
   obs::MetricsRegistry& registry_;

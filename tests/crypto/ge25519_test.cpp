@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "accountnet/crypto/ge25519.hpp"
+#include "accountnet/util/ensure.hpp"
 #include "accountnet/util/rng.hpp"
 #include "reference_arith.hpp"
 
@@ -222,6 +223,102 @@ TEST(Ge25519, ScalarMulKeepsTorsionComponent) {
   const auto order =
       scalar_from_hex("edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010");
   EXPECT_EQ(mixed.scalar_mul(order), t2);
+}
+
+// Points of order 4 and 8 (the small-order encodings every Ed25519 library
+// blocklists), with the order-2 point: every torsion class a wire key can add.
+std::vector<Ge25519> small_order_points() {
+  std::vector<Ge25519> out = {Ge25519::identity(), order_two_point()};
+  for (const char* hex :
+       {"0000000000000000000000000000000000000000000000000000000000000000",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a"}) {
+    const auto p = Ge25519::from_bytes(from_hex(hex));
+    EXPECT_TRUE(p.has_value()) << hex;
+    if (p) out.push_back(*p);
+  }
+  return out;
+}
+
+TEST(Ge25519, SmallOrderPointsHaveTheirOrder) {
+  const auto pts = small_order_points();
+  ASSERT_EQ(pts.size(), 5u);
+  EXPECT_TRUE(pts[2].dbl().dbl().is_identity());
+  EXPECT_FALSE(pts[2].dbl().is_identity());
+  for (std::size_t i = 3; i < 5; ++i) {
+    EXPECT_TRUE(pts[i].mul_by_cofactor().is_identity());
+    EXPECT_FALSE(pts[i].dbl().dbl().is_identity());
+  }
+}
+
+TEST(Ge25519, BatchEncodeMatchesPerPointEncoding) {
+  const Ge25519& b = Ge25519::base_point();
+  std::vector<Ge25519> pts;
+  for (const auto& s : edge_and_random_scalars(207, 12)) {
+    const Ge25519 p = b.scalar_mul(s);  // projective: Z != 1
+    pts.push_back(p);
+    pts.push_back(p.mul_by_cofactor());
+    for (const auto& t : small_order_points()) pts.push_back(p.add(t));
+  }
+  for (const auto& t : small_order_points()) pts.push_back(t);
+  pts.push_back(*Ge25519::from_bytes(b.to_bytes()));  // affine: Z == 1
+
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{5}, pts.size()}) {
+    const std::span<const Ge25519> batch(pts.data(), n);
+    std::vector<std::array<std::uint8_t, 32>> enc(n);
+    Ge25519::to_bytes_batch(batch, enc);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(to_hex(enc[i]), to_hex(batch[i].to_bytes())) << "n " << n << " i " << i;
+    }
+  }
+  std::vector<std::array<std::uint8_t, 32>> short_out(2);
+  EXPECT_THROW(Ge25519::to_bytes_batch(std::span<const Ge25519>(pts.data(), 3), short_out),
+               EnsureError);
+}
+
+TEST(Ge25519, ScalarMulPairMatchesTwoScalarMuls) {
+  const Ge25519 p = Ge25519::base_point().scalar_mul(scalar_of(4242)).add(order_two_point());
+  const auto scalars = edge_and_random_scalars(208, 8);
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    const auto& a = scalars[i];
+    const auto& c = scalars[(i * 5 + 2) % scalars.size()];
+    const auto [pa, pc] = p.scalar_mul_pair(a, c);
+    EXPECT_EQ(pa, p.scalar_mul(a)) << to_hex(a);
+    EXPECT_EQ(pc, p.scalar_mul(c)) << to_hex(c);
+  }
+}
+
+TEST(Ge25519, VartimeScalarMulMatchesConstantTime) {
+  std::vector<Ge25519> pts = small_order_points();
+  pts.push_back(Ge25519::base_point());
+  pts.push_back(Ge25519::base_point().scalar_mul(scalar_of(777)).add(pts[4]));
+  for (const auto& p : pts) {
+    for (const auto& s : edge_and_random_scalars(209, 8)) {
+      EXPECT_EQ(p.scalar_mul_vartime(s), p.scalar_mul(s)) << to_hex(p.to_bytes()) << " "
+                                                           << to_hex(s);
+    }
+  }
+}
+
+// The ECVRF verifier's U = s*B - c*Y: the fixed-base table for s plus a
+// 128-bit variable-time chain for c, against the Strauss form it replaced.
+TEST(Ge25519, SplitUMatchesStraussU) {
+  Rng rng(210);
+  const auto torsion = small_order_points();
+  for (int i = 0; i < 24; ++i) {
+    Scalar32 s = random_scalar(rng);
+    Scalar32 c{};
+    for (std::size_t j = 0; j < 16; ++j) c[j] = static_cast<std::uint8_t>(rng.next_u64());
+    if (i == 0) s = scalar_of(0);
+    if (i == 1) c = scalar_of(0);
+    if (i == 2) std::fill(c.begin(), c.begin() + 16, std::uint8_t{0xff});
+    Ge25519 y = Ge25519::base_point().scalar_mul(random_scalar(rng));
+    y = y.add(torsion[static_cast<std::size_t>(i) % torsion.size()]);
+    const Ge25519 neg_y = y.negate();
+    SCOPED_TRACE(to_hex(s) + " " + to_hex(c));
+    EXPECT_EQ(ge_scalar_mul_base(s).add(neg_y.scalar_mul_vartime(c)),
+              Ge25519::double_scalar_mul_base_vartime(s, c, neg_y));
+  }
 }
 
 TEST(Ge25519, DoubleScalarMulMatchesSeparateMultiplications) {

@@ -55,6 +55,21 @@ TEST(TimedCrypto, CallCountersTickEvenWithTimingOff) {
   EXPECT_EQ(metrics.timer_count(metrics.timer("crypto.sign")), 0u);
 }
 
+TEST(TimedCrypto, EvaluationCountsOnceAsAProof) {
+  for (const bool real : {false, true}) {
+    obs::MetricsRegistry metrics;
+    metrics.set_timing_enabled(true);
+    const auto timed =
+        make_timed_crypto(real ? make_real_crypto() : make_fast_crypto(), metrics);
+    const auto signer = timed->make_signer(seed32(3));
+    (void)signer->vrf_evaluate(bytes_of("draw attempt"));
+    EXPECT_EQ(metrics.counter_value(*metrics.find("crypto.vrf_prove.calls")), 1u) << real;
+    EXPECT_EQ(metrics.counter_value(*metrics.find("crypto.vrf_output.calls")), 0u) << real;
+    EXPECT_EQ(metrics.timer_count(metrics.timer("crypto.vrf_prove")), 1u) << real;
+    EXPECT_EQ(metrics.timer_count(metrics.timer("crypto.vrf_output")), 0u) << real;
+  }
+}
+
 TEST(TimedCrypto, TimersRecordWhenEnabled) {
   obs::MetricsRegistry metrics;
   metrics.set_timing_enabled(true);

@@ -52,6 +52,24 @@ TEST(Vrf, OutputWithoutProofMatchesProofToHash) {
   }
 }
 
+TEST(Vrf, EvaluateMatchesProveAndOutput) {
+  Rng rng(13);
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    const auto kp = keypair(300 + k);
+    for (int i = 0; i < 3; ++i) {
+      Bytes alpha(static_cast<std::size_t>(rng.uniform(120)));
+      for (auto& b : alpha) b = static_cast<std::uint8_t>(rng.next_u64());
+      const auto e = vrf_evaluate(kp, alpha);
+      EXPECT_EQ(e.proof, vrf_prove(kp, alpha)) << "key " << k << " alpha " << to_hex(alpha);
+      EXPECT_EQ(e.output, vrf_output(kp, alpha)) << "key " << k;
+      EXPECT_EQ(e.output, vrf_proof_to_hash(e.proof)) << "key " << k;
+      const auto beta = vrf_verify(kp.public_key, alpha, e.proof);
+      ASSERT_TRUE(beta.has_value());
+      EXPECT_EQ(*beta, e.output);
+    }
+  }
+}
+
 TEST(Vrf, DeterministicProofs) {
   const auto kp = keypair(3);
   const Bytes alpha = bytes_of("same alpha");
