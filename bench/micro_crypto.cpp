@@ -2,6 +2,7 @@
 // throughput, Ed25519, ECVRF, and the Fast backend used by large sims.
 #include <benchmark/benchmark.h>
 
+#include "accountnet/crypto/detail/sha256_kernels.hpp"
 #include "accountnet/crypto/ed25519.hpp"
 #include "accountnet/crypto/provider.hpp"
 #include "accountnet/crypto/sha256.hpp"
@@ -107,4 +108,14 @@ BENCHMARK(BM_FastBackendVrf);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Which SHA-256 compression kernel ran ("sha-ni" or "portable"): the
+  // BM_Sha256 and fast-backend rows depend on it.
+  benchmark::AddCustomContext("sha256_kernel",
+                              accountnet::crypto::detail::sha256_kernel_name());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -19,6 +19,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <span>
 #include <string>
@@ -86,7 +87,9 @@ class UpdateHistory {
  public:
   void append(HistoryEntry entry);
 
-  const std::vector<HistoryEntry>& entries() const { return entries_; }
+  /// The retained window, oldest first (a deque, so trim() is O(1) per
+  /// dropped entry).
+  const std::deque<HistoryEntry>& entries() const { return entries_; }
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
   const HistoryEntry& back() const;
@@ -139,7 +142,7 @@ class UpdateHistory {
                                std::vector<HistoryEntry> entries);
 
  private:
-  std::vector<HistoryEntry> entries_;
+  std::deque<HistoryEntry> entries_;
   std::uint64_t total_appended_ = 0;
   std::uint64_t trim_count_ = 0;
   ChainDigest chain_{};       ///< Over all total_appended_ entries.

@@ -148,14 +148,24 @@ const HistoryEntry& UpdateHistory::back() const {
   return entries_.back();
 }
 
-Peerset UpdateHistory::reconstruct(std::span<const HistoryEntry> suffix) {
+namespace {
+
+// N̂ = (N̂ − out) ∪ in ∪ fill over [first, last), from an empty set.
+template <class It>
+Peerset replay(It first, It last) {
   Peerset n;
-  for (const auto& e : suffix) {
-    for (const auto& p : e.out) n.erase(p);
-    n.insert_all(e.in);
-    n.insert_all(e.fill);
+  for (; first != last; ++first) {
+    for (const auto& p : first->out) n.erase(p);
+    n.insert_all(first->in);
+    n.insert_all(first->fill);
   }
   return n;
+}
+
+}  // namespace
+
+Peerset UpdateHistory::reconstruct(std::span<const HistoryEntry> suffix) {
+  return replay(suffix.begin(), suffix.end());
 }
 
 std::size_t UpdateHistory::minimal_suffix_length(const Peerset& current) const {
@@ -175,17 +185,18 @@ std::size_t UpdateHistory::minimal_suffix_length(const Peerset& current) const {
       }
     }
   };
-  for (std::size_t k = 0; k < entries_.size(); ++k) {
-    const auto& e = entries_[entries_.size() - 1 - k];
-    for (const auto& p : e.in) mark(p);
-    for (const auto& p : e.fill) mark(p);
+  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+    for (const auto& p : it->in) mark(p);
+    for (const auto& p : it->fill) mark(p);
     if (covered == current.size()) {
-      // Candidate length k+1; confirm by replaying the tail in place
+      // Candidate: the tail from *it on; confirm by replaying it in place
       // (removals could interleave).
-      if (reconstruct(std::span(entries_).last(k + 1)) == current) return k + 1;
+      if (replay(std::next(it).base(), entries_.end()) == current) {
+        return static_cast<std::size_t>(it - entries_.rbegin()) + 1;
+      }
     }
   }
-  if (reconstruct(entries_) == current) return entries_.size();
+  if (replay(entries_.begin(), entries_.end()) == current) return entries_.size();
   return entries_.size() + 1;
 }
 
@@ -201,13 +212,10 @@ std::vector<HistoryEntry> UpdateHistory::proof_suffix(const Peerset& current) co
 }
 
 void UpdateHistory::trim(std::size_t max_entries) {
-  if (entries_.size() > max_entries) {
-    const std::size_t drop = entries_.size() - max_entries;
-    for (std::size_t i = 0; i < drop; ++i) {
-      base_chain_ = chain_step(base_chain_, entry_digest(entries_[i]));
-    }
-    entries_.erase(entries_.begin(), entries_.begin() + static_cast<std::ptrdiff_t>(drop));
-    trim_count_ += drop;
+  while (entries_.size() > max_entries) {
+    base_chain_ = chain_step(base_chain_, entry_digest(entries_.front()));
+    entries_.pop_front();
+    ++trim_count_;
   }
 }
 

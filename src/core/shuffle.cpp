@@ -44,13 +44,16 @@ struct HistoryProof {
 HistoryProof make_history_proof(const NodeState& state) {
   HistoryProof proof;
   const auto& h = state.history();
-  if (state.checkpoint() && state.history().minimal_suffix_length(state.peerset()) > h.size()) {
+  // One scan decides the form: anchor on the seal when the minimal suffix was
+  // trimmed away, otherwise ship what proof_suffix() would.
+  const std::size_t k = h.minimal_suffix_length(state.peerset());
+  if (state.checkpoint() && k > h.size()) {
     proof.anchor = state.checkpoint();
     proof.suffix = h.entries_from(
         proof.anchor->sealed_count,
         static_cast<std::size_t>(h.total_appended() - proof.anchor->sealed_count));
   } else {
-    proof.suffix = h.proof_suffix(state.peerset());
+    proof.suffix = h.suffix(k);  // suffix() clamps k to the retained window
   }
   return proof;
 }

@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include "accountnet/crypto/detail/sha256_kernels.hpp"
 #include "accountnet/util/ensure.hpp"
 
 namespace accountnet::crypto {
@@ -29,13 +34,49 @@ constexpr std::uint32_t kRound[64] = {
 
 inline std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
-}  // namespace
+#if defined(__x86_64__)
 
-Sha256::Sha256() {
-  std::memcpy(state_.data(), kInit, sizeof(kInit));
+#define AN_SHANI __attribute__((target("sha,sse4.1")))
+
+// Message words W[4i..4i+3]: big-endian, so reverse the bytes of each lane.
+AN_SHANI inline __m128i load_words(const std::uint8_t* block, int i) {
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)), bswap);
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
+// Four rounds with message words w = W[4i..4i+3]. The SHA-NI state lives in
+// two registers, named by their 32-bit lanes from high to low: abef holds
+// A,B,E,F and cdgh holds C,D,G,H.
+AN_SHANI inline void rounds4(__m128i& abef, __m128i& cdgh, __m128i w, int i) {
+  const __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * i)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+// W[t..t+3] from m0..m3 = W[t-16..t-1], four words per register.
+AN_SHANI inline __m128i schedule(__m128i m0, __m128i m1, __m128i m2, __m128i m3) {
+  const __m128i x = _mm_add_epi32(_mm_sha256msg1_epu32(m0, m1), _mm_alignr_epi8(m3, m2, 4));
+  return _mm_sha256msg2_epu32(x, m3);
+}
+
+#endif
+
+// Chosen once per process; a function-local static is initialised exactly
+// once even when several threads hash their first message at the same time.
+detail::Sha256Compress chosen_kernel() {
+  static const detail::Sha256Compress kernel = detail::sha256_shani_available()
+                                     ? &detail::sha256_compress_shani
+                                     : &detail::sha256_compress_portable;
+  return kernel;
+}
+
+}  // namespace
+
+namespace detail {
+
+void sha256_compress_portable(std::uint32_t state[8], const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
@@ -49,8 +90,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -67,14 +108,82 @@ void Sha256::process_block(const std::uint8_t* block) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+
+bool sha256_shani_available() {
+  __builtin_cpu_init();  // safe even if called before static constructors
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+
+AN_SHANI void sha256_compress_shani(std::uint32_t state[8], const std::uint8_t* block) {
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i m0 = load_words(block, 0), m1 = load_words(block, 1);
+  __m128i m2 = load_words(block, 2), m3 = load_words(block, 3);
+  rounds4(abef, cdgh, m0, 0);
+  rounds4(abef, cdgh, m1, 1);
+  rounds4(abef, cdgh, m2, 2);
+  rounds4(abef, cdgh, m3, 3);
+  for (int i = 4; i < 16; i += 4) {
+    m0 = schedule(m0, m1, m2, m3);
+    rounds4(abef, cdgh, m0, i);
+    m1 = schedule(m1, m2, m3, m0);
+    rounds4(abef, cdgh, m1, i + 1);
+    m2 = schedule(m2, m3, m0, m1);
+    rounds4(abef, cdgh, m2, i + 2);
+    m3 = schedule(m3, m0, m1, m2);
+    rounds4(abef, cdgh, m3, i + 3);
+  }
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#undef AN_SHANI
+
+#else
+
+bool sha256_shani_available() { return false; }
+
+void sha256_compress_shani(std::uint32_t*, const std::uint8_t*) {
+  AN_ENSURE_MSG(false, "SHA-NI kernel called on a CPU without the SHA extensions");
+}
+
+#endif
+
+const char* sha256_kernel_name() {
+  return chosen_kernel() == &sha256_compress_shani ? "sha-ni" : "portable";
+}
+
+}  // namespace detail
+
+Sha256::Sha256() {
+  std::memcpy(state_.data(), kInit, sizeof(kInit));
+}
+
+void Sha256::process_block(const std::uint8_t* block) {
+  chosen_kernel()(state_.data(), block);
 }
 
 void Sha256::update(BytesView data) {

@@ -46,6 +46,26 @@ constexpr std::uint64_t kRound[80] = {
 
 inline std::uint64_t rotr(std::uint64_t x, int n) { return (x >> n) | (x << (64 - n)); }
 
+inline std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  v = __builtin_bswap64(v);
+#endif
+  return v;
+}
+
+// One round. The caller rotates the argument list instead of the variables,
+// so eight consecutive calls leave a..h back in their own registers.
+inline void round_step(std::uint64_t a, std::uint64_t b, std::uint64_t c, std::uint64_t& d,
+                       std::uint64_t e, std::uint64_t f, std::uint64_t g, std::uint64_t& h,
+                       std::uint64_t kw) {
+  const std::uint64_t t1 =
+      h + (rotr(e, 14) ^ rotr(e, 18) ^ rotr(e, 41)) + ((e & f) ^ (~e & g)) + kw;
+  d += t1;
+  h = t1 + (rotr(a, 28) ^ rotr(a, 34) ^ rotr(a, 39)) + ((a & b) ^ (a & c) ^ (b & c));
+}
+
 }  // namespace
 
 Sha512::Sha512() {
@@ -54,13 +74,7 @@ Sha512::Sha512() {
 
 void Sha512::process_block(const std::uint8_t* block) {
   std::uint64_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    std::uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) {
-      v = (v << 8) | block[i * 8 + b];
-    }
-    w[i] = v;
-  }
+  for (int i = 0; i < 16; ++i) w[i] = load_be64(block + 8 * i);
   for (int i = 16; i < 80; ++i) {
     const std::uint64_t s0 = rotr(w[i - 15], 1) ^ rotr(w[i - 15], 8) ^ (w[i - 15] >> 7);
     const std::uint64_t s1 = rotr(w[i - 2], 19) ^ rotr(w[i - 2], 61) ^ (w[i - 2] >> 6);
@@ -69,21 +83,15 @@ void Sha512::process_block(const std::uint8_t* block) {
 
   std::uint64_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
   std::uint64_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 80; ++i) {
-    const std::uint64_t s1 = rotr(e, 14) ^ rotr(e, 18) ^ rotr(e, 41);
-    const std::uint64_t ch = (e & f) ^ (~e & g);
-    const std::uint64_t t1 = h + s1 + ch + kRound[i] + w[i];
-    const std::uint64_t s0 = rotr(a, 28) ^ rotr(a, 34) ^ rotr(a, 39);
-    const std::uint64_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint64_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
+  for (int i = 0; i < 80; i += 8) {
+    round_step(a, b, c, d, e, f, g, h, kRound[i] + w[i]);
+    round_step(h, a, b, c, d, e, f, g, kRound[i + 1] + w[i + 1]);
+    round_step(g, h, a, b, c, d, e, f, kRound[i + 2] + w[i + 2]);
+    round_step(f, g, h, a, b, c, d, e, kRound[i + 3] + w[i + 3]);
+    round_step(e, f, g, h, a, b, c, d, kRound[i + 4] + w[i + 4]);
+    round_step(d, e, f, g, h, a, b, c, kRound[i + 5] + w[i + 5]);
+    round_step(c, d, e, f, g, h, a, b, kRound[i + 6] + w[i + 6]);
+    round_step(b, c, d, e, f, g, h, a, kRound[i + 7] + w[i + 7]);
   }
   state_[0] += a;
   state_[1] += b;

@@ -10,6 +10,7 @@ namespace accountnet::core {
 namespace {
 
 using testing::make_node;
+using testing::retained_entries;
 using testing::run_shuffle;
 
 class AuditFixture : public ::testing::Test {
@@ -70,7 +71,7 @@ TEST_F(AuditFixture, HonestHistoriesPassCrossAudit) {
   auto oracle = oracle_for(nodes);
   for (auto& [addr, node] : nodes) {
     const auto res =
-        cross_audit_history(node->history().entries(), node->self(), oracle);
+        cross_audit_history(retained_entries(node->history()), node->self(), oracle);
     EXPECT_TRUE(res.verdict) << addr << ": " << res.verdict.reason;
     EXPECT_GT(res.checked, 0u) << addr;
     EXPECT_EQ(res.unreachable, 0u) << addr;
@@ -80,7 +81,8 @@ TEST_F(AuditFixture, HonestHistoriesPassCrossAudit) {
 TEST_F(AuditFixture, HonestHistoriesPassInvariantAudit) {
   auto nodes = build_and_shuffle(10, 20);
   for (auto& [addr, node] : nodes) {
-    const auto v = audit_history_invariants(node->history().entries(), node->self());
+    const auto v =
+        audit_history_invariants(retained_entries(node->history()), node->self());
     EXPECT_TRUE(v) << addr << ": " << v.reason;
   }
 }
@@ -89,7 +91,7 @@ TEST_F(AuditFixture, FabricatedInPeerDetected) {
   auto nodes = build_and_shuffle(8, 10);
   // Take a node with a shuffle entry and inject a ghost into its in-set.
   for (auto& [addr, node] : nodes) {
-    auto entries = node->history().entries();
+    auto entries = retained_entries(node->history());
     for (auto& e : entries) {
       if (e.kind != EntryKind::kShuffle) continue;
       e.in.push_back(PeerId{"ghost", {}});
@@ -106,7 +108,7 @@ TEST_F(AuditFixture, FabricatedInPeerDetected) {
 TEST_F(AuditFixture, MismatchedNonceDetected) {
   auto nodes = build_and_shuffle(8, 10);
   for (auto& [addr, node] : nodes) {
-    auto entries = node->history().entries();
+    auto entries = retained_entries(node->history());
     for (auto& e : entries) {
       if (e.kind != EntryKind::kShuffle) continue;
       e.nonce += 1;  // claim the exchange happened at a different round
@@ -124,7 +126,7 @@ TEST_F(AuditFixture, MismatchedNonceDetected) {
 TEST_F(AuditFixture, RemovingNonMemberDetected) {
   auto nodes = build_and_shuffle(8, 10);
   auto& node = *nodes.begin()->second;
-  auto entries = nodes.rbegin()->second->history().entries();
+  auto entries = retained_entries(nodes.rbegin()->second->history());
   (void)node;
   for (auto& e : entries) {
     if (e.kind != EntryKind::kShuffle) continue;

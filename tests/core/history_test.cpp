@@ -3,6 +3,7 @@
 
 #include "accountnet/core/history.hpp"
 #include "accountnet/util/ensure.hpp"
+#include "accountnet/util/rng.hpp"
 
 namespace accountnet::core {
 namespace {
@@ -291,6 +292,138 @@ TEST_F(HistorySuffixVerify, AcceptsValidLeave) {
   lv.signature = rep_signer->sign(leave_payload(3, "x"));
   EXPECT_TRUE(verify_history_suffix({lv}, owner, Peerset{}, *provider_));
 }
+
+// --- UpdateHistory against a naive model ------------------------------------
+
+// The retained window as a std::vector trimmed with erase(begin), plus the
+// chain over every prefix ever appended; every query is answered by brute
+// force.
+struct NaiveHistory {
+  std::vector<HistoryEntry> entries;
+  std::vector<ChainDigest> chains{ChainDigest{}};  ///< chains[i]: first i entries.
+  std::uint64_t first = 0;
+
+  void append(const HistoryEntry& e) {
+    chains.push_back(chain_step(chains.back(), entry_digest(e)));
+    entries.push_back(e);
+  }
+  void trim(std::size_t limit) {
+    while (entries.size() > limit) {
+      entries.erase(entries.begin());
+      ++first;
+    }
+  }
+  std::uint64_t total() const { return chains.size() - 1; }
+  std::vector<HistoryEntry> last(std::size_t k) const {
+    return {entries.end() - static_cast<std::ptrdiff_t>(k), entries.end()};
+  }
+  std::size_t minimal_suffix_length(const Peerset& current) const {
+    for (std::size_t k = 0; k <= entries.size(); ++k) {
+      if (UpdateHistory::reconstruct(last(k)) == current) return k;
+    }
+    return entries.size() + 1;
+  }
+  std::vector<HistoryEntry> entries_from(std::uint64_t index, std::size_t count) const {
+    if (index < first || index >= total()) return {};
+    const auto begin = entries.begin() + static_cast<std::ptrdiff_t>(index - first);
+    const auto left = static_cast<std::size_t>(entries.end() - begin);
+    const auto n = std::min(count, left);
+    return {begin, begin + static_cast<std::ptrdiff_t>(n)};
+  }
+};
+
+// A random but well-formed peerset change against `live`, which it updates:
+// some live peers leave, fresh ones arrive, and some leavers come back as fills.
+HistoryEntry random_entry(Rng& rng, Round round, Peerset& live) {
+  HistoryEntry e;
+  e.kind = static_cast<EntryKind>(1 + rng.uniform(3));
+  e.self_round = round;
+  e.counterpart = pid("cp" + std::to_string(rng.uniform(20)));
+  e.nonce = rng.uniform(1000);
+  e.signature = Bytes(static_cast<std::size_t>(rng.uniform(65)), 0x5a);
+  e.initiated = rng.uniform(2) == 1;
+  for (const auto& p : live.sorted()) {
+    if (rng.uniform(4) == 0) e.out.push_back(p);
+  }
+  for (std::uint64_t i = rng.uniform(4); i > 0; --i) {
+    e.in.push_back(pid("p" + std::to_string(rng.uniform(40))));
+  }
+  for (const auto& p : e.out) {
+    if (rng.uniform(3) == 0) e.fill.push_back(p);
+  }
+  for (const auto& p : e.out) live.erase(p);
+  live.insert_all(e.in);
+  live.insert_all(e.fill);
+  return e;
+}
+
+void expect_same_window(const UpdateHistory& h, const NaiveHistory& m) {
+  ASSERT_EQ(h.size(), m.entries.size());
+  EXPECT_TRUE(std::equal(h.entries().begin(), h.entries().end(), m.entries.begin()));
+  EXPECT_EQ(h.first_index(), m.first);
+  EXPECT_EQ(h.total_appended(), m.total());
+  EXPECT_EQ(h.base_chain(), m.chains[m.first]);
+  EXPECT_EQ(h.chain(), m.chains.back());
+}
+
+class HistoryModel : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(HistoryModel, MatchesNaiveVectorModel) {
+  const std::size_t limit = GetParam();
+  const std::size_t appends = 10 * limit + 20;
+  Rng rng(1000 + limit);
+  UpdateHistory h;
+  NaiveHistory m;
+  Peerset live;
+  Round round = 0;
+  for (std::size_t step = 0; step < appends; ++step) {
+    round += 1 + rng.uniform(3);
+    const HistoryEntry e = random_entry(rng, round, live);
+    h.append(e);
+    m.append(e);
+    h.trim(limit);
+    m.trim(limit);
+    SCOPED_TRACE("step " + std::to_string(step));
+    expect_same_window(h, m);
+
+    // The slow checks (chain_at costs one digest per retained entry before
+    // `i`, restore() one per retained entry, and an unprovable set makes the
+    // model replay every suffix) run once per `limit` appends, so the largest
+    // limit stays quick under sanitizers.
+    const bool slow_checks = step % limit == 0 || step + 1 == appends;
+
+    // The live set, a set some retained suffix reconstructs exactly and, on
+    // the stride, the live set plus a stray peer that usually no suffix
+    // reconstructs.
+    const auto tail = static_cast<std::size_t>(rng.uniform(m.entries.size() + 1));
+    std::vector<Peerset> currents = {live, UpdateHistory::reconstruct(m.last(tail))};
+    if (slow_checks) {
+      currents.push_back(live);
+      currents.back().insert(pid("p" + std::to_string(rng.uniform(40))));
+    }
+    for (const Peerset& current : currents) {
+      const std::size_t k = m.minimal_suffix_length(current);
+      EXPECT_EQ(h.minimal_suffix_length(current), k);
+      EXPECT_EQ(h.proof_suffix(current), m.last(std::min(k, m.entries.size())));
+    }
+
+    const std::uint64_t index = rng.uniform(m.total() + 2);
+    const auto count = static_cast<std::size_t>(rng.uniform(limit + 2));
+    EXPECT_EQ(h.entries_from(index, count), m.entries_from(index, count));
+    EXPECT_EQ(h.entries_from(m.first, m.entries.size()), m.entries);
+
+    if (slow_checks) {
+      for (std::uint64_t i = m.first; i <= m.total(); ++i) {
+        EXPECT_EQ(h.chain_at(i), m.chains[i]) << "i=" << i;
+      }
+      const UpdateHistory restored = UpdateHistory::restore(
+          h.base_chain(), h.first_index(), h.suffix(h.size()));
+      expect_same_window(restored, m);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Limits, HistoryModel, ::testing::Values(1, 4, 96));
 
 }  // namespace
 }  // namespace accountnet::core

@@ -9,6 +9,7 @@ namespace accountnet::core {
 namespace {
 
 using testing::make_node;
+using testing::retained_entries;
 
 class NodeStateFixture : public ::testing::Test {
  protected:
@@ -97,8 +98,8 @@ TEST_F(NodeStateFixture, LeaveReportRoundTrip) {
   EXPECT_EQ(entry.kind, EntryKind::kLeave);
   EXPECT_EQ(entry.out.size(), 1u);
   // The full history (join + leave) passes third-party verification.
-  EXPECT_TRUE(verify_history_suffix(holder->history().entries(), holder->self(),
-                                    holder->peerset(), *provider_));
+  EXPECT_TRUE(verify_history_suffix(retained_entries(holder->history()),
+                                    holder->self(), holder->peerset(), *provider_));
 }
 
 TEST_F(NodeStateFixture, LeaveReportRecordedEvenIfNotAPeer) {

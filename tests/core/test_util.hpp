@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "accountnet/core/shuffle.hpp"
 #include "accountnet/util/rng.hpp"
@@ -28,6 +29,11 @@ inline std::unique_ptr<NodeState> make_node(const std::string& addr,
   auto signer = provider.make_signer(seed_from_name(addr));
   PeerId id{addr, signer->public_key()};
   return std::make_unique<NodeState>(id, std::move(signer), config);
+}
+
+/// The retained history window as the vector the suffix verifiers take.
+inline std::vector<HistoryEntry> retained_entries(const UpdateHistory& h) {
+  return {h.entries().begin(), h.entries().end()};
 }
 
 /// Runs one complete verified shuffle initiated by `a` toward the partner its
